@@ -43,15 +43,17 @@ bench-diff:
 
 # Quick fuzz pass: the run engine against the sequential BFS reference
 # (mixed binary/grey, then a grey-only leg so grey-level boundary cases get
-# undiluted fuzz time), the PGM parser on arbitrary bytes, and the whole
+# undiluted fuzz time), the PGM parser on arbitrary bytes, the whole
 # public API on arbitrary parameters (error-or-correct-result, never a
-# panic).
+# panic), the out-of-core pipeline on arbitrary PGMs, and the checkpoint
+# record decoder on arbitrary bytes.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRunLabelMatchesBFS -fuzztime 30s ./internal/par/
 	$(GO) test -run '^$$' -fuzz FuzzGreyRunLabelMatchesBFS -fuzztime 30s ./internal/par/
 	$(GO) test -run '^$$' -fuzz FuzzReadPGM -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzPublicAPI -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzStreamPGM -fuzztime 30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 30s ./internal/stream/
 
 # Chaos suite under the race detector: injected panics, delays and
 # barrier no-shows, cooperative cancellation, the barrier watchdog, and

@@ -60,8 +60,8 @@ func BenchmarkParallelHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkSequentialCC is the LabelSequential anchor for the speedup
-// reported in BENCH_parallel.json.
+// BenchmarkSequentialCC is the LabelSequential anchor for the parallel
+// benchmarks' speedups.
 func BenchmarkSequentialCC(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		im := GeneratePattern(DualSpiral, n)

@@ -112,23 +112,27 @@ func AppendGreyRunsPix(row []uint32, dst []int32, vals []uint32) ([]int32, []uin
 // full-width fallback for grey levels above 255).
 func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, rows int,
 	conn image.Connectivity, clear bool, lab []uint32) int {
-	n := im.N
-	rl.runs = rl.runs[:0]
-	rl.vals = rl.vals[:0]
-	rl.seed = rl.seed[:0]
-	rl.parent = rl.parent[:0]
-	rl.rowOff = rl.rowOff[:0]
+	comps, ok := rl.scanGreyStrip(bp, im, r0, rows, conn)
+	if ok {
+		rl.paint(rows, im.N, clear, lab)
+	}
+	return comps
+}
 
-	// Pass one: extract each row's grey runs and unite them with the
-	// like-colored adjacent runs of the row above.
+// scanGreyStrip is pass one of LabelGreyStrip: extract each row's grey
+// runs and unite them with the like-colored adjacent runs of the row
+// above. Returns as scanStrip does.
+func (rl *RunLabeler) scanGreyStrip(bp *image.Byteplane, im *image.Image, r0, rows int,
+	conn image.Connectivity) (comps int, ok bool) {
+	n := im.N
+	rl.reset()
 	unites := 0
 	prevLo := 0
 	for i := 0; i < rows; i++ {
-		if rl.Stop != nil && rl.Stop.Load() {
-			rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-			return 0
-		}
 		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
+		if rl.Stop != nil && rl.Stop.Load() {
+			return 0, false
+		}
 		curLo := len(rl.parent)
 		if bp != nil {
 			rl.runs, rl.vals = AppendGreyRuns(bp.Row(r0+i), rl.runs, rl.vals)
@@ -146,9 +150,7 @@ func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, r
 		prevLo = curLo
 	}
 	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-
-	rl.paint(rows, n, clear, lab)
-	return len(rl.parent) - unites
+	return len(rl.parent) - unites, true
 }
 
 // uniteRowsGrey unites each run of the current row [curLo, curHi) with
@@ -190,18 +192,3 @@ func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connect
 // pairs and valid until the next Label*Strip call. Empty after a binary
 // LabelStrip (binary runs carry no values).
 func (rl *RunLabeler) Values() []uint32 { return rl.vals }
-
-// LabelRunsGrey labels a whole grey image with the run-based two-pass
-// algorithm. The result is pixel-for-pixel identical to LabelBFS with Grey
-// mode. It is the sequential grey run-based baseline; hot paths should
-// reuse a RunLabeler and Byteplane via the parallel engine instead.
-func LabelRunsGrey(im *image.Image, conn image.Connectivity) *image.Labels {
-	bp, wide := image.NewByteplane(im)
-	if wide {
-		bp = nil
-	}
-	out := image.NewLabels(im.N)
-	var rl RunLabeler
-	rl.LabelGreyStrip(bp, im, 0, im.N, conn, false, out.Lab)
-	return out
-}

@@ -7,6 +7,21 @@ import (
 	"parimg/internal/image"
 )
 
+// LabelRunsGrey labels a whole grey image with the run-based two-pass
+// algorithm, taking the full-width extraction path when a grey level
+// exceeds a byte: the sequential grey baseline the tests compare against
+// LabelBFS in Grey mode.
+func LabelRunsGrey(im *image.Image, conn image.Connectivity) *image.Labels {
+	bp, wide := image.NewByteplane(im)
+	if wide {
+		bp = nil
+	}
+	out := image.NewLabels(im.N)
+	var rl RunLabeler
+	rl.LabelGreyStrip(bp, im, 0, im.N, conn, false, out.Lab)
+	return out
+}
+
 // greyRunsOfRow extracts one row's equal-grey-level runs the slow way,
 // pixel by pixel — the reference for both extractors.
 func greyRunsOfRow(row []uint32) (runs []int32, vals []uint32) {

@@ -19,8 +19,8 @@ import (
 // output is pixel-for-pixel identical to LabelBFS in Binary mode.
 //
 // The RunLabeler here labels one horizontal strip and is the unit of work
-// the host-parallel engine runs per worker; LabelRuns wraps it over a
-// whole image as the sequential run-based baseline.
+// the host-parallel engine runs per worker; BandLabeler wraps it for the
+// bands of the out-of-core pipeline.
 
 // AppendRuns appends the maximal set-bit runs of one packed row to dst as
 // (start, end) half-open column pairs, scanning whole 64-bit words with
@@ -109,23 +109,37 @@ type RunLabeler struct {
 // Returns the number of components found within the strip.
 func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Connectivity,
 	clear bool, lab []uint32) int {
-	n := bp.N
+	comps, ok := rl.scanStrip(bp, r0, rows, conn)
+	if ok {
+		rl.paint(rows, bp.N, clear, lab)
+	}
+	return comps
+}
+
+// reset empties the run table and union-find for a new strip, keeping
+// their capacity.
+func (rl *RunLabeler) reset() {
 	rl.runs = rl.runs[:0]
 	rl.vals = rl.vals[:0]
 	rl.seed = rl.seed[:0]
 	rl.parent = rl.parent[:0]
 	rl.rowOff = rl.rowOff[:0]
+}
 
-	// Pass one: extract each row's runs and unite them with the
-	// overlapping runs of the row above.
+// scanStrip is pass one of LabelStrip: extract each row's runs and unite
+// them with the overlapping runs of the row above. It returns the number
+// of components, or ok = false (and 0) when the Stop flag cut the scan
+// short, leaving the run table partial.
+func (rl *RunLabeler) scanStrip(bp *image.Bitplane, r0, rows int, conn image.Connectivity) (comps int, ok bool) {
+	n := bp.N
+	rl.reset()
 	unites := 0
 	prevLo := 0
 	for i := 0; i < rows; i++ {
-		if rl.Stop != nil && rl.Stop.Load() {
-			rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-			return 0
-		}
 		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
+		if rl.Stop != nil && rl.Stop.Load() {
+			return 0, false
+		}
 		curLo := len(rl.parent)
 		rl.runs = AppendRuns(bp.Row(r0+i), rl.runs)
 		base := uint32((r0+i)*n) + 1
@@ -139,9 +153,19 @@ func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Co
 		prevLo = curLo
 	}
 	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
+	return len(rl.parent) - unites, true
+}
 
-	rl.paint(rows, n, clear, lab)
-	return len(rl.parent) - unites
+// flatten points every run straight at its root in one forward sweep.
+// Unite-by-minimum links the larger root under the smaller, and path
+// halving only ever lowers an entry, so parent[k] <= k throughout: by the
+// time the sweep reaches k, parent[k] has already been flattened to its
+// root, and parent[parent[k]] is k's root.
+func (rl *RunLabeler) flatten() {
+	p := rl.parent
+	for k := range p {
+		p[k] = p[p[k]]
+	}
 }
 
 // paint is pass two of both the binary and grey strip labelers: every run
@@ -150,20 +174,24 @@ func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Co
 // same sweep.
 func (rl *RunLabeler) paint(rows, n int, clear bool, lab []uint32) {
 	for i := 0; i < rows; i++ {
-		row := lab[i*n : (i+1)*n]
-		lo, hi := rl.rowOff[i]/2, rl.rowOff[i+1]/2
-		col := int32(0)
-		for k := lo; k < hi; k++ {
-			s, e := rl.runs[2*k], rl.runs[2*k+1]
-			if clear {
-				zero32(row[col:s])
-			}
-			Fill32(row[s:e], rl.seed[rl.find(k)])
-			col = e
-		}
+		rl.paintRow(i, lab[i*n:(i+1)*n], clear)
+	}
+}
+
+// paintRow paints strip row i into row, its n-wide slice of the output.
+func (rl *RunLabeler) paintRow(i int, row []uint32, clear bool) {
+	lo, hi := rl.rowOff[i]/2, rl.rowOff[i+1]/2
+	col := int32(0)
+	for k := lo; k < hi; k++ {
+		s, e := rl.runs[2*k], rl.runs[2*k+1]
 		if clear {
-			zero32(row[col:])
+			zero32(row[col:s])
 		}
+		Fill32(row[s:e], rl.seed[rl.find(k)])
+		col = e
+	}
+	if clear {
+		zero32(row[col:])
 	}
 }
 
@@ -237,17 +265,4 @@ func zero32(s []uint32) {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-// LabelRuns labels a whole binary image with the run-based two-pass
-// algorithm. The result is pixel-for-pixel identical to LabelBFS with
-// Binary mode (every nonzero pixel is foreground). It is the sequential
-// run-based baseline; hot paths should reuse a RunLabeler and Bitplane via
-// the parallel engine instead.
-func LabelRuns(im *image.Image, conn image.Connectivity) *image.Labels {
-	bp := image.NewBitplane(im)
-	out := image.NewLabels(im.N)
-	var rl RunLabeler
-	rl.LabelStrip(bp, 0, im.N, conn, false, out.Lab)
-	return out
 }

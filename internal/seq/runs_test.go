@@ -7,6 +7,17 @@ import (
 	"parimg/internal/image"
 )
 
+// LabelRuns labels a whole binary image with the run-based two-pass
+// algorithm: the sequential run-based baseline the tests compare against
+// LabelBFS (pixel for pixel identical in Binary mode).
+func LabelRuns(im *image.Image, conn image.Connectivity) *image.Labels {
+	bp := image.NewBitplane(im)
+	out := image.NewLabels(im.N)
+	var rl RunLabeler
+	rl.LabelStrip(bp, 0, im.N, conn, false, out.Lab)
+	return out
+}
+
 // runsOfRow extracts one row's runs the slow way, pixel by pixel.
 func runsOfRow(row []uint32) []int32 {
 	var out []int32

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -97,54 +99,57 @@ func (e *ckptEncoder) u64(v uint64) {
 
 // writeFile commits the record to path crash-atomically.
 func (c *checkpoint) writeFile(path string) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<16)
-		crc := crc32.New(crcTable)
-		e := &ckptEncoder{w: io.MultiWriter(bw, crc)}
-		e.raw(ckptMagic[:])
-		e.u32(ckptVersion)
-		e.u32(uint32(c.conn))
-		e.u32(uint32(c.mode))
-		e.u64(uint64(c.bandRows))
-		e.u64(uint64(c.width))
-		e.u64(uint64(c.height))
-		e.u64(uint64(c.maxVal))
-		e.u64(uint64(c.dataOffset))
-		e.u64(uint64(len(c.header)))
-		e.raw(c.header)
-		e.u64(uint64(c.nextBand))
-		e.u64(uint64(c.stripComps))
-		e.u64(uint64(c.links))
-		e.u64(uint64(c.pairs))
-		e.u64(uint64(c.edges))
-		e.u64(uint64(len(c.prevPix)))
-		for _, v := range c.prevPix {
-			e.u32(v)
-		}
-		e.u64(uint64(len(c.prevLab)))
-		for _, v := range c.prevLab {
-			e.u64(v)
-		}
-		e.u64(uint64(len(c.parent)))
-		for child, par := range c.parent {
-			e.u64(child)
-			e.u64(par)
-		}
-		e.u64(uint64(len(c.sizes)))
-		for lab, size := range c.sizes {
-			e.u64(lab)
-			e.u64(uint64(size))
-		}
-		if e.err != nil {
-			return e.err
-		}
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-		if _, err := bw.Write(tail[:]); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
+	return atomicio.WriteFile(path, c.encode)
+}
+
+// encode writes the record's on-disk form, checksum included, to w.
+func (c *checkpoint) encode(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	crc := crc32.New(crcTable)
+	e := &ckptEncoder{w: io.MultiWriter(bw, crc)}
+	e.raw(ckptMagic[:])
+	e.u32(ckptVersion)
+	e.u32(uint32(c.conn))
+	e.u32(uint32(c.mode))
+	e.u64(uint64(c.bandRows))
+	e.u64(uint64(c.width))
+	e.u64(uint64(c.height))
+	e.u64(uint64(c.maxVal))
+	e.u64(uint64(c.dataOffset))
+	e.u64(uint64(len(c.header)))
+	e.raw(c.header)
+	e.u64(uint64(c.nextBand))
+	e.u64(uint64(c.stripComps))
+	e.u64(uint64(c.links))
+	e.u64(uint64(c.pairs))
+	e.u64(uint64(c.edges))
+	e.u64(uint64(len(c.prevPix)))
+	for _, v := range c.prevPix {
+		e.u32(v)
+	}
+	e.u64(uint64(len(c.prevLab)))
+	for _, v := range c.prevLab {
+		e.u64(v)
+	}
+	e.u64(uint64(len(c.parent)))
+	for child, par := range c.parent {
+		e.u64(child)
+		e.u64(par)
+	}
+	e.u64(uint64(len(c.sizes)))
+	for lab, size := range c.sizes {
+		e.u64(lab)
+		e.u64(uint64(size))
+	}
+	if e.err != nil {
+		return e.err
+	}
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
+	if _, err := bw.Write(tail[:]); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // ckptDecoder reads little-endian fields from a byte slice, latching
@@ -184,27 +189,41 @@ func (d *ckptDecoder) u64() uint64 {
 // remaining returns the unread byte count, for pre-allocation bounds.
 func (d *ckptDecoder) remaining() int { return len(d.data) - d.off }
 
-// loadCheckpoint reads and structurally validates a checkpoint record:
-// magic, version, checksum, and field plausibility. Every failure is an
-// ErrCheckpointCorrupt; fingerprint comparison against the live run is
-// the caller's job (checkpoint.matches).
+// loadCheckpoint reads the checkpoint record at path and decodes it (see
+// decodeCheckpoint), naming the file in any ErrCheckpointCorrupt.
 func loadCheckpoint(path string) (*checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, errs.Bad(op, "reading checkpoint: %v", err)
 	}
+	c, err := decodeCheckpoint(data)
+	var ie *errs.InputError
+	if errors.As(err, &ie) {
+		ie.Detail = fmt.Sprintf("checkpoint %s: %s", path, ie.Detail)
+	}
+	return c, err
+}
+
+// decodeCheckpoint structurally validates and decodes one checkpoint
+// record: magic, version, checksum, and field plausibility. Every failure
+// is an ErrCheckpointCorrupt, and no slice or map is sized from a declared
+// count before that count is checked against the bytes actually present,
+// so a crafted record cannot force a large allocation. Fingerprint
+// comparison against the live run is the caller's job
+// (checkpoint.matches).
+func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if len(data) < len(ckptMagic)+8 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s holds %d bytes, too short for a record", path, len(data))
+		return nil, errs.CheckpointCorrupt(op, "record holds %d bytes, too short for a record", len(data))
 	}
 	if !bytes.Equal(data[:len(ckptMagic)], ckptMagic[:]) {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s does not start with the record magic", path)
+		return nil, errs.CheckpointCorrupt(op, "record does not start with the record magic")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != ckptVersion {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s is record version %d; this build reads version %d", path, v, ckptVersion)
+		return nil, errs.CheckpointCorrupt(op, "record version %d; this build reads version %d", v, ckptVersion)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s fails its checksum (stored %08x, computed %08x)", path, want, got)
+		return nil, errs.CheckpointCorrupt(op, "record fails its checksum (stored %08x, computed %08x)", want, got)
 	}
 
 	d := &ckptDecoder{data: body, off: len(ckptMagic) + 4}
@@ -219,7 +238,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	hlen := int(d.u64())
 	if hlen < 0 || hlen > image.MaxStreamHeaderBytes {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares a %d-byte input header", path, hlen)
+		return nil, errs.CheckpointCorrupt(op, "record declares a %d-byte input header", hlen)
 	}
 	c.header = append([]byte(nil), d.raw(hlen)...)
 	c.nextBand = int(d.u64())
@@ -230,7 +249,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 
 	npix := int(d.u64())
 	if npix < 0 || npix > d.remaining()/4 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d boundary pixels past its own size", path, npix)
+		return nil, errs.CheckpointCorrupt(op, "record declares %d boundary pixels past its own size", npix)
 	}
 	c.prevPix = make([]uint32, npix)
 	for i := range c.prevPix {
@@ -238,7 +257,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	nlab := int(d.u64())
 	if nlab < 0 || nlab > d.remaining()/8 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d boundary labels past its own size", path, nlab)
+		return nil, errs.CheckpointCorrupt(op, "record declares %d boundary labels past its own size", nlab)
 	}
 	c.prevLab = make([]uint64, nlab)
 	for i := range c.prevLab {
@@ -246,7 +265,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	nuf := int(d.u64())
 	if nuf < 0 || nuf > d.remaining()/16 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d forest links past its own size", path, nuf)
+		return nil, errs.CheckpointCorrupt(op, "record declares %d forest links past its own size", nuf)
 	}
 	c.parent = make(map[uint64]uint64, nuf)
 	for i := 0; i < nuf; i++ {
@@ -255,7 +274,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	nsz := int(d.u64())
 	if nsz < 0 || nsz > d.remaining()/16 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d fragment sizes past its own size", path, nsz)
+		return nil, errs.CheckpointCorrupt(op, "record declares %d fragment sizes past its own size", nsz)
 	}
 	c.sizes = make(map[uint64]int64, nsz)
 	for i := 0; i < nsz; i++ {
@@ -263,7 +282,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 		c.sizes[lab] = size
 	}
 	if d.bad || d.remaining() != 0 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s record is truncated or carries trailing bytes", path)
+		return nil, errs.CheckpointCorrupt(op, "record is truncated or carries trailing bytes")
 	}
 
 	// Field plausibility: the checksum says the bytes are intact, but a
@@ -271,15 +290,15 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	// into impossible state.
 	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.dataOffset < 0 ||
 		c.stripComps < 0 || c.links < 0 || c.pairs < 0 || c.edges < 0 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s carries impossible geometry or tallies", path)
+		return nil, errs.CheckpointCorrupt(op, "record carries impossible geometry or tallies")
 	}
 	totalBands := (c.height + c.bandRows - 1) / c.bandRows
 	if c.nextBand < 1 || c.nextBand > totalBands {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s resumes at band %d of %d", path, c.nextBand, totalBands)
+		return nil, errs.CheckpointCorrupt(op, "record resumes at band %d of %d", c.nextBand, totalBands)
 	}
 	if len(c.prevPix) != c.width || len(c.prevLab) != c.width {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s boundary rows hold %d/%d entries for width %d",
-			path, len(c.prevPix), len(c.prevLab), c.width)
+		return nil, errs.CheckpointCorrupt(op, "record boundary rows hold %d/%d entries for width %d",
+			len(c.prevPix), len(c.prevLab), c.width)
 	}
 	return c, nil
 }

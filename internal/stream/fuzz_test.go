@@ -2,8 +2,16 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"parimg/internal/errs"
 	"parimg/internal/image"
 )
 
@@ -47,4 +55,80 @@ func FuzzStreamPGM(f *testing.F) {
 			t.Fatalf("stream label PGM differs from resident rendering")
 		}
 	})
+}
+
+// FuzzCheckpoint throws arbitrary bytes at the checkpoint record decoder.
+// It must never panic, must answer with either a record or
+// ErrCheckpointCorrupt, and must not allocate more than a small multiple
+// of the input: every declared count is checked against the bytes present
+// before anything is sized from it. A record it accepts must survive an
+// encode/decode round trip unchanged. The seeds are a valid record and
+// the mutations of the corruption table in TestCorruptCheckpointRejected.
+func FuzzCheckpoint(f *testing.F) {
+	im := image.Generate(image.ConcentricCircles, 32)
+	pgm := encodePGM(im.Pix, im.N, im.N, 255)
+	ckpt := filepath.Join(f.TempDir(), "run.ckpt")
+	if _, err := Label(bytes.NewReader(pgm), nil, Options{
+		BandRows: 5, CheckpointEvery: 2, Checkpoint: ckpt}); err != nil {
+		f.Fatalf("checkpointed census: %v", err)
+	}
+	valid, err := os.ReadFile(ckpt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mutate := func(m func([]byte) []byte) []byte { return m(append([]byte(nil), valid...)) }
+	for _, seed := range [][]byte{
+		valid,
+		nil,
+		mutate(func(b []byte) []byte { return b[:8] }),
+		mutate(func(b []byte) []byte { return b[:len(b)/2] }),
+		mutate(func(b []byte) []byte { return b[:len(b)-1] }),
+		mutate(func(b []byte) []byte { b[0] ^= 0x40; return b }),
+		mutate(func(b []byte) []byte { b[8] ^= 0xFF; return b }),
+		mutate(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }),
+		mutate(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }),
+		mutate(func(b []byte) []byte { return append(b, 0xEE) }),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		if len(data) >= 4 {
+			// The same bytes with a correct checksum: random mutations
+			// almost never pass the CRC, and this lets the fuzzer reach
+			// the field decoding and the count bounds behind it.
+			body := data[:len(data)-4]
+			checkDecode(t, binary.LittleEndian.AppendUint32(
+				append([]byte(nil), body...), crc32.Checksum(body, crcTable)))
+		}
+	})
+}
+
+// checkDecode asserts FuzzCheckpoint's properties for one input.
+func checkDecode(t *testing.T, data []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := decodeCheckpoint(data)
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20+32*uint64(len(data)) {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), grown)
+	}
+	if err != nil {
+		if !errors.Is(err, errs.ErrCheckpointCorrupt) || c != nil {
+			t.Fatalf("decode returned (%v, %v), want (nil, ErrCheckpointCorrupt)", c, err)
+		}
+		return
+	}
+	var buf bytes.Buffer
+	if err := c.encode(&buf); err != nil {
+		t.Fatalf("re-encoding an accepted record: %v", err)
+	}
+	again, err := decodeCheckpoint(buf.Bytes())
+	if err != nil {
+		t.Fatalf("re-encoded record rejected: %v", err)
+	}
+	if !reflect.DeepEqual(again, c) {
+		t.Fatal("record changed across an encode/decode round trip")
+	}
 }

@@ -287,8 +287,9 @@ type pipeline struct {
 
 	bl      seq.BandLabeler
 	pix     []uint32 // current band pixels
-	lab     []uint32 // current band band-local labels
 	scratch []byte   // raw sample bytes for ReadRows
+	row     []uint32 // one painted seam row, band-local labels
+	runBuf  []uint32 // per-run scratch: component sizes, then dense ids
 
 	uf      *UnionFind64
 	sizes   map[uint64]int64 // fragment sizes by lifted band-local label
@@ -310,19 +311,14 @@ type pipeline struct {
 }
 
 // forEachBand streams the image top to bottom starting at band index
-// from, decoding and band-labeling each window and then handing it to fn
-// with its absolute start row and the band's component count. It owns the
-// band_decode and band_label phases and the cooperative stop polling
-// between phases; fn runs whatever per-band work the pass needs. A
-// resumed census pass starts past the checkpointed bands; the write pass
-// always starts at 0.
+// from, decoding and resolving each window's runs (p.bl holds them; no
+// label plane is painted) and then handing it to fn with its absolute
+// start row and the band's component count. It owns the band_decode and
+// band_label phases and the cooperative stop polling between phases; fn
+// runs whatever per-band work the pass needs. A resumed census pass starts
+// past the checkpointed bands; the write pass always starts at 0.
 func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) error {
 	W := p.hdr.Width
-	want := p.bandRows * W
-	if cap(p.pix) < want {
-		p.pix = make([]uint32, want)
-		p.lab = make([]uint32, want)
-	}
 	for r0 := from * p.bandRows; r0 < p.hdr.Height; r0 += p.bandRows {
 		if err := p.wd.interrupted(); err != nil {
 			return err
@@ -331,9 +327,12 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 		if r0+rows > p.hdr.Height {
 			rows = p.hdr.Height - r0
 		}
-		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
 
 		t := p.rec.StartPhase()
+		if cap(p.pix) < p.bandRows*W {
+			p.pix = make([]uint32, p.bandRows*W)
+		}
+		pix := p.pix[:rows*W]
 		var err error
 		p.scratch, err = p.hdr.ReadRows(p.r, r0, rows, pix, p.scratch)
 		p.rec.EndPhase("band_decode", "", t)
@@ -343,7 +342,7 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 		p.wd.progressed()
 
 		t = p.rec.StartPhase()
-		comps := p.bl.Label(pix, rows, W, p.conn, p.mode, lab)
+		comps := p.bl.Resolve(pix, rows, W, p.conn, p.mode)
 		p.rec.EndPhase("band_label", "", t)
 		if err := p.wd.interrupted(); err != nil {
 			return err
@@ -360,10 +359,15 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 }
 
 // census is pass 1: stream every band from the start band (0 fresh,
-// checkpointed band when resuming), merge adjacent bands, and accumulate
-// fragment sizes, producing the component count, foreground count and
-// top-K census. Counters: strip components and run counts per band,
-// boundary pairs/edges/links per merge, checkpoint records written.
+// checkpointed band when resuming), merge adjacent bands, and fold each
+// band's component sizes into the census, producing the component count,
+// foreground count and top-K census. Counters: strip components and run
+// counts per band, boundary pairs/edges/links per merge, checkpoint
+// records written.
+//
+// Only the band's top and bottom label rows are ever painted: the top row
+// for the merge with the previous band, the bottom row as the seam the
+// next band merges against. Everything else works from the run table.
 //
 // On resume the normal merge path IS the seam replay: the restored
 // prevPix/prevLab rows are exactly what the uninterrupted run would hold
@@ -376,7 +380,6 @@ func (p *pipeline) census(topK int) (*Result, error) {
 		p.stripComps += int64(comps)
 		p.rec.Add(obs.CtrStripComponents, int64(comps))
 		base := uint64(r0) * uint64(W)
-		cur := Labels64{Base: base, Rows: rows, Cols: W, Lab: p.lab[:rows*W]}
 		if p.mode == seq.Grey {
 			p.rec.Add(obs.CtrGreyRuns, int64(len(p.bl.Runs())/2))
 		} else {
@@ -385,7 +388,7 @@ func (p *pipeline) census(topK int) (*Result, error) {
 
 		if r0 > 0 {
 			t := p.rec.StartPhase()
-			p.botLab = cur.LiftRow(0, p.botLab)
+			p.botLab = p.seamRow(0, base, p.botLab)
 			var pairs int64
 			var links int
 			p.edgeBuf, pairs, links = MergeAdjacent(p.uf,
@@ -400,35 +403,26 @@ func (p *pipeline) census(topK int) (*Result, error) {
 			p.links += int64(links)
 		}
 
-		// Fragment sizes: run-length over the band's label plane, one map
-		// update per run. Each band-local component contributes one sizes
-		// entry (its fragments' runs share the lifted label), so the map
-		// holds one entry per band-level fragment over the whole run —
-		// components + links entries in total, not one per pixel.
-		lab := p.lab[:rows*W]
-		var curLab uint32
-		var cnt int64
-		for _, l := range lab {
-			if l == curLab {
-				cnt++
-				continue
+		t := p.rec.StartPhase()
+		// Fragment sizes: one sizes update per band component, keyed by its
+		// lifted root seed (the fragment's global label), so the map holds
+		// one entry per band-level fragment over the whole run: components
+		// + links entries in total.
+		p.runBuf = p.bl.ComponentSizes(p.runBuf)
+		seeds := p.bl.Seeds()
+		for k, r := range p.bl.Roots() {
+			if int(r) == k {
+				p.sizes[base+uint64(seeds[k])] += int64(p.runBuf[k])
 			}
-			if curLab != 0 {
-				p.sizes[base+uint64(curLab)] += cnt
-			}
-			curLab, cnt = l, 1
 		}
-		if curLab != 0 {
-			p.sizes[base+uint64(curLab)] += cnt
-		}
-
 		// Save the band's bottom boundary for the next merge.
 		if cap(p.prevPix) < W {
 			p.prevPix = make([]uint32, W)
 		}
 		p.prevPix = p.prevPix[:W]
 		copy(p.prevPix, p.pix[(rows-1)*W:rows*W])
-		p.prevLab = cur.LiftRow(rows-1, p.prevLab)
+		p.prevLab = p.seamRow(rows-1, base, p.prevLab)
+		p.rec.EndPhase("band_fold", "", t)
 
 		// The band's census state is now fully committed: fault site, then
 		// the checkpoint cadence.
@@ -440,29 +434,65 @@ func (p *pipeline) census(topK int) (*Result, error) {
 	if err := p.wd.interrupted(); err != nil {
 		return nil, err
 	}
+	t := p.rec.StartPhase()
+	res, err := p.foldCensus(topK)
+	p.rec.EndPhase("census_fold", "", t)
+	return res, err
+}
 
-	// Fold fragment sizes through the final forest.
-	final := make(map[uint64]int64, len(p.sizes))
-	var fg int64
-	for l, s := range p.sizes {
-		final[p.uf.Find(l)] += s
-		fg += s
+// seamRow paints row i of the current band and lifts it into the global
+// label space in dst (grown as needed and returned): background stays 0,
+// foreground becomes base + the band-local label.
+func (p *pipeline) seamRow(i int, base uint64, dst []uint64) []uint64 {
+	W := p.hdr.Width
+	if cap(p.row) < W {
+		p.row = make([]uint32, W)
 	}
+	row := p.row[:W]
+	p.bl.PaintRow(i, row)
+	if cap(dst) < W {
+		dst = make([]uint64, W)
+	}
+	dst = dst[:W]
+	for j, v := range row {
+		if v == 0 {
+			dst[j] = 0
+			continue
+		}
+		dst[j] = base + uint64(v)
+	}
+	return dst
+}
+
+// foldCensus folds the fragment sizes through the final forest into the
+// run's Result. Per-component sizes are only needed for the top-K, so the
+// map of them is built only when one is asked for.
+func (p *pipeline) foldCensus(topK int) (*Result, error) {
 	res := &Result{
 		Width:      p.hdr.Width,
 		Height:     p.hdr.Height,
 		Components: p.stripComps - p.links,
-		Foreground: fg,
 		Bands:      (p.hdr.Height + p.bandRows - 1) / p.bandRows,
 		BandRows:   p.bandRows,
 		Links:      p.links,
 	}
-	if int64(len(final)) != res.Components {
+	var roots int64
+	for l, s := range p.sizes {
+		res.Foreground += s
+		if p.uf.IsRoot(l) {
+			roots++
+		}
+	}
+	if roots != res.Components {
 		// Cross-check: the size fold sees exactly one root per component.
 		return nil, errs.Bad(op, "component accounting mismatch: %d roots, %d by links",
-			len(final), res.Components)
+			roots, res.Components)
 	}
 	if topK > 0 {
+		final := make(map[uint64]int64, roots)
+		for l, s := range p.sizes {
+			final[p.uf.Find(l)] += s
+		}
 		all := make([]Component, 0, len(final))
 		for l, s := range final {
 			all = append(all, Component{Label: l, Size: s})
@@ -516,30 +546,31 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 			rowBuf = make([]byte, rows*W*sb)
 		}
 		buf := rowBuf[:rows*W*sb]
-		lab := p.lab[:rows*W]
-		// One find+map lookup per run of equal labels, not per pixel.
-		var lastLab, lastID uint32
-		for i, l := range lab {
-			id := lastID
-			if l != lastLab {
-				if l == 0 {
-					id = 0
-				} else {
-					root := p.uf.Find(base + uint64(l))
-					var ok bool
-					if id, ok = remap[root]; !ok {
+		clear(buf)
+		runs, roots, seeds, off := p.bl.Runs(), p.bl.Roots(), p.bl.Seeds(), p.bl.RowOffsets()
+		if cap(p.runBuf) < len(roots) {
+			p.runBuf = make([]uint32, len(roots), cap(roots))
+		}
+		ids := p.runBuf[:len(roots)]
+		// One Find and dense-id lookup per band root, then a span fill per
+		// run. Runs are walked in row-major order and a band root is its
+		// band component's first run, so ids are assigned exactly where a
+		// per-pixel scan would first see each root.
+		for i := 0; i < rows; i++ {
+			row := buf[i*W*sb : (i+1)*W*sb]
+			for k := off[i] / 2; k < off[i+1]/2; k++ {
+				r := roots[k]
+				if r == k {
+					root := p.uf.Find(base + uint64(seeds[k]))
+					id, ok := remap[root]
+					if !ok {
 						next++
 						id = next
 						remap[root] = id
 					}
+					ids[k] = id
 				}
-				lastLab, lastID = l, id
-			}
-			if sb == 1 {
-				buf[i] = byte(id)
-			} else {
-				buf[2*i] = byte(id >> 8)
-				buf[2*i+1] = byte(id)
+				fillSamples(row[int(runs[2*k])*sb:int(runs[2*k+1])*sb], ids[r], sb)
 			}
 		}
 		if _, err := bw.Write(buf); err != nil {
@@ -554,6 +585,22 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 		return errs.Bad(op, "flushing label PGM: %v", err)
 	}
 	return nil
+}
+
+// fillSamples writes id into every sb-byte sample of span: one byte, or
+// two bytes big-endian.
+func fillSamples(span []byte, id uint32, sb int) {
+	if sb == 1 {
+		v := byte(id)
+		for i := range span {
+			span[i] = v
+		}
+		return
+	}
+	hi, lo := byte(id>>8), byte(id)
+	for i := 0; i+1 < len(span); i += 2 {
+		span[i], span[i+1] = hi, lo
+	}
 }
 
 // bandCommitted runs after band (0-based index) has fully committed its

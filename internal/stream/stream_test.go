@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -346,6 +348,71 @@ func TestStreamMetrics(t *testing.T) {
 	}
 	if rec.Counter(obs.CtrStripComponents) == 0 || rec.Counter(obs.CtrRuns) == 0 {
 		t.Errorf("strip components / runs counters not recorded")
+	}
+}
+
+// TestStreamMetricsCoverage pins that the named phases of a stream
+// metrics document cover at least 99% of the wall time of the
+// stream.Label call, for a census-only run, a census+write run and a
+// resumed run. Timer granularity and scheduling make single samples
+// noisy, so the best of five attempts must pass — the property is that
+// the instrumentation has no structural gaps.
+func TestStreamMetricsCoverage(t *testing.T) {
+	im := image.RandomBinary(1024, 0.43, 11)
+	pgm := encodePGM(im.Pix, im.N, im.N, 255)
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	base := Options{BandRows: 64, TopK: 3}
+	crashed := base
+	crashed.Checkpoint = ckpt
+	crashed.CheckpointEvery = 4
+	crashed.Fault = crashAt(9)
+	if _, err := Label(bytes.NewReader(pgm), nil, crashed); !errors.Is(err, errs.ErrAborted) {
+		t.Fatalf("crashed run error = %v, want ErrAborted", err)
+	}
+	record, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := crashed
+	resume.Fault = nil
+	resume.Resume = true
+
+	for _, c := range []struct {
+		name  string
+		opt   Options
+		write bool
+	}{
+		{"census", base, false},
+		{"census+write", base, true},
+		{"resumed", resume, true},
+	} {
+		best := 0.0
+		for attempt := 0; attempt < 5 && best < 0.99; attempt++ {
+			rec := obs.NewRecorder()
+			opt := c.opt
+			opt.Obs = rec
+			if opt.Resume {
+				// Each resumed attempt rewrites the record; start every
+				// one from the crash's record.
+				if err := os.WriteFile(ckpt, record, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var out io.Writer
+			if c.write {
+				out = io.Discard
+			}
+			start := time.Now()
+			if _, err := Label(bytes.NewReader(pgm), out, opt); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			elapsed := time.Since(start)
+			best = max(best, float64(rec.Snapshot().WallPhaseNS())/float64(elapsed.Nanoseconds()))
+		}
+		t.Logf("%s: phase coverage %.4f", c.name, best)
+		if best < 0.99 {
+			t.Errorf("%s: phase coverage %.4f < 0.99 in all attempts", c.name, best)
+		}
 	}
 }
 

@@ -70,43 +70,15 @@ func (u *UnionFind64) Unite(a, b uint64) bool {
 	return true
 }
 
+// IsRoot reports whether x is the root of its set.
+func (u *UnionFind64) IsRoot(x uint64) bool {
+	_, linked := u.parent[x]
+	return !linked
+}
+
 // Len returns the number of non-root labels — the memory the merge state
 // actually holds, bounded by the number of cross-band links.
 func (u *UnionFind64) Len() int { return len(u.parent) }
-
-// Labels64 is one band's labeling lifted into the global space: the
-// band-local uint32 labels (band-row-major seed index + 1, as the band
-// labeler assigns) plus the band's global base offset. A pixel's global
-// label is Base + its band-local label, which equals its component's
-// minimum global row-major seed index + 1 within the band.
-type Labels64 struct {
-	// Base is the global seed offset of the band: r0 * cols for a band
-	// starting at absolute row r0.
-	Base uint64
-	// Rows and Cols are the band dimensions.
-	Rows, Cols int
-	// Lab holds the Rows*Cols band-local labels (0 = background).
-	Lab []uint32
-}
-
-// LiftRow writes row i's labels lifted into the global 64-bit space into
-// dst (grown as needed and returned): background stays 0, foreground
-// becomes Base + the band-local label.
-func (l *Labels64) LiftRow(i int, dst []uint64) []uint64 {
-	if cap(dst) < l.Cols {
-		dst = make([]uint64, l.Cols)
-	}
-	dst = dst[:l.Cols]
-	row := l.Lab[i*l.Cols : (i+1)*l.Cols]
-	for j, v := range row {
-		if v == 0 {
-			dst[j] = 0
-			continue
-		}
-		dst[j] = l.Base + uint64(v)
-	}
-	return dst
-}
 
 // MergeAdjacent resolves the boundary between two vertically adjacent
 // label slabs: topPix/topLab are the bottom pixel and lifted-label rows of
