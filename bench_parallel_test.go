@@ -15,26 +15,22 @@ import (
 )
 
 // BenchmarkParallelCC measures host-parallel labeling throughput on the
-// dual-spiral pattern (the catalog's hardest) across strip algorithms,
-// sizes and worker counts; the workers=1 rows are the sequential anchor
-// for speedup, and the bfs-vs-runs pairs are the in-tree form of the
-// BENCH_runs.json matrix.
+// dual-spiral pattern (the catalog's hardest) across sizes and worker
+// counts; the workers=1 rows are the sequential anchor for speedup, and
+// BenchmarkSequentialCC is the BFS baseline of the BENCH_runs.json matrix.
 func BenchmarkParallelCC(b *testing.B) {
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, n := range []int{512, 1024} {
-			im := GeneratePattern(DualSpiral, n)
-			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-				b.Run(fmt.Sprintf("algo=%v/n=%d/workers=%d", algo, n, w), func(b *testing.B) {
-					e := NewParallelEngine(w)
-					e.SetAlgo(algo)
-					out := NewLabels(n)
-					b.SetBytes(int64(n * n)) // MB/s column == MPix/s
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.LabelInto(im, Conn8, Binary, out)
-					}
-				})
-			}
+	for _, n := range []int{512, 1024} {
+		im := GeneratePattern(DualSpiral, n)
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				e := NewParallelEngine(w)
+				out := NewLabels(n)
+				b.SetBytes(int64(n * n)) // MB/s column == MPix/s
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.LabelInto(im, Conn8, Binary, out)
+				}
+			})
 		}
 	}
 }

@@ -49,8 +49,6 @@ func run() error {
 		fullRelabel = flag.Bool("full-relabel", false, "relabel whole tiles every merge (disable limited updating)")
 		compare     = flag.Bool("compare", false, "run all three parallel algorithms and compare")
 		backend     = cli.BackendFlag(flag.CommandLine)
-		algoName    = cli.AlgoFlag(flag.CommandLine)
-		mergeName   = cli.MergeFlag(flag.CommandLine)
 		workers     = cli.WorkersFlag(flag.CommandLine)
 		metricsPath = cli.MetricsFlag(flag.CommandLine)
 		timeout     = cli.TimeoutFlag(flag.CommandLine)
@@ -74,15 +72,6 @@ func run() error {
 		})
 	}
 
-	algo, err := parimg.ParseAlgo(*algoName)
-	if err != nil {
-		return err
-	}
-	merge, err := parimg.ParseMerge(*mergeName)
-	if err != nil {
-		return err
-	}
-
 	im, err := loadImage(*patternName, *random, *darpa, *inFile, *n, *seed)
 	if err != nil {
 		return err
@@ -103,8 +92,6 @@ func run() error {
 	case "sim":
 		// fall through to the simulator below
 	case "par", "seq":
-		opt0.Algo = algo
-		opt0.Merge = merge
 		return runHost(*backend, im, opt0, *workers, *top,
 			*metricsPath, cli.ImageName(*patternName, *darpa, *inFile))
 	default:
@@ -160,55 +147,72 @@ func run() error {
 // sequential baseline — and reports real wall-clock time instead of the
 // simulator's modeled costs. The labels buffer is allocated before the
 // timed region, so the wall time (and metrics TotalNS) covers exactly the
-// labeling work the recorded phases decompose.
+// labeling work the recorded phases decompose. A failed run still writes
+// its metrics document, marked aborted.
 func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 	workers, top int, metricsPath, imageName string) error {
 	labels := parimg.NewLabels(im.N)
 	rec := parimg.NewMetricsRecorder()
 	var elapsed time.Duration
+	var err error
 	if backend == "par" {
 		workers = cli.Workers(workers)
 		eng := parimg.NewParallelEngine(workers)
-		eng.SetAlgo(opt.Algo)
-		eng.SetMerge(opt.Merge)
 		if metricsPath != "" {
 			eng.SetObserver(rec)
 		}
 		start := time.Now()
-		_, err := eng.LabelIntoContext(opt.Context, im, connOf(opt), opt.Mode, labels)
+		_, err = eng.LabelIntoContext(opt.Context, im, connOf(opt), opt.Mode, labels)
 		elapsed = time.Since(start)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), algo=%v, merge=%v, %dx%d image, %v, %v mode\n",
-			workers, runtime.GOMAXPROCS(0), opt.Algo, opt.Merge, im.N, im.N, connOf(opt), opt.Mode)
-		fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
 	} else {
 		start := time.Now()
-		var err error
 		labels, err = parimg.LabelSequentialErr(im, connOf(opt), opt.Mode)
 		elapsed = time.Since(start)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sequential baseline, %dx%d image, %v, %v mode\n", im.N, im.N, connOf(opt), opt.Mode)
-		fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
 	}
-	printTop(labels, top)
-	if metricsPath != "" {
-		m := rec.Snapshot()
-		m.Command, m.Backend, m.Algo = "imgcc", backend, opt.Algo.String()
+	fill := func(m *parimg.Metrics) {
+		m.Command, m.Backend = "imgcc", backend
 		if backend == "par" {
 			m.Workers = workers
-			m.Merge = opt.Merge.String()
 		}
 		m.Image, m.N = imageName, im.N
 		m.TotalNS = elapsed.Nanoseconds()
-		if err := cli.WriteMetrics(metricsPath, m); err != nil {
-			return err
-		}
 	}
-	return nil
+	if err != nil {
+		return writeRunMetrics(metricsPath, rec, err, fill)
+	}
+	if backend == "par" {
+		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), %dx%d image, %v, %v mode\n",
+			workers, runtime.GOMAXPROCS(0), im.N, im.N, connOf(opt), opt.Mode)
+	} else {
+		fmt.Printf("sequential baseline, %dx%d image, %v, %v mode\n", im.N, im.N, connOf(opt), opt.Mode)
+	}
+	fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
+	printTop(labels, top)
+	return writeRunMetrics(metricsPath, rec, nil, fill)
+}
+
+// writeRunMetrics writes the run's metrics document to path (nothing when
+// path is empty) and returns runErr. A failed run still gets its document:
+// runErr marks rec aborted first, and since the first mark wins, a run the
+// engine already marked keeps the engine's reason. fill sets the context
+// fields the recorder does not know.
+func writeRunMetrics(path string, rec *parimg.MetricsRecorder, runErr error,
+	fill func(*parimg.Metrics)) error {
+	if path == "" {
+		return runErr
+	}
+	if runErr != nil {
+		rec.MarkAborted(runErr.Error())
+	}
+	m := rec.Snapshot()
+	fill(m)
+	if err := cli.WriteMetrics(path, m); err != nil {
+		if runErr != nil {
+			return fmt.Errorf("%w (metrics not written: %v)", runErr, err)
+		}
+		return err
+	}
+	return runErr
 }
 
 func connOf(opt parimg.LabelOptions) parimg.Connectivity {

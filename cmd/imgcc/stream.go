@@ -127,12 +127,20 @@ func runStream(cfg streamConfig) error {
 		res, err = stream.Label(f, nil, opt)
 	}
 	elapsed := time.Since(start)
+	fill := func(m *parimg.Metrics) {
+		m.Command, m.Backend = "imgcc", "stream"
+		m.Image = cfg.inFile
+		if res != nil {
+			m.N = res.Width
+		}
+		m.TotalNS = elapsed.Nanoseconds()
+	}
 	if err != nil {
-		return err
+		return writeRunMetrics(cfg.metricsPath, rec, err, fill)
 	}
 	if out != nil {
 		if err := out.Commit(); err != nil {
-			return err
+			return writeRunMetrics(cfg.metricsPath, rec, err, fill)
 		}
 	}
 
@@ -148,19 +156,10 @@ func runStream(cfg streamConfig) error {
 	}
 	if cfg.censusJSON != "" {
 		if err := writeCensusJSON(cfg.censusJSON, res); err != nil {
-			return err
+			return writeRunMetrics(cfg.metricsPath, rec, err, fill)
 		}
 	}
-	if cfg.metricsPath != "" {
-		m := rec.Snapshot()
-		m.Command, m.Backend = "imgcc", "stream"
-		m.Image, m.N = cfg.inFile, res.Width
-		m.TotalNS = elapsed.Nanoseconds()
-		if err := cli.WriteMetrics(cfg.metricsPath, m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeRunMetrics(cfg.metricsPath, rec, nil, fill)
 }
 
 // writeCensusJSON writes the run-invariant census document atomically.

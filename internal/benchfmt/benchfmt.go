@@ -15,9 +15,9 @@ type Row struct {
 	Pattern      string  `json:"pattern"`
 	N            int     `json:"n"`
 	Backend      string  `json:"backend"`         // "seq" or "par"
-	Algo         string  `json:"algo"`            // "bfs" or "runs"
+	Algo         string  `json:"algo"`            // "bfs" (seq) or "runs" (par)
 	Mode         string  `json:"mode"`            // "binary" or "grey"
-	Merge        string  `json:"merge,omitempty"` // "tree" or "sv" (par backend)
+	Merge        string  `json:"merge,omitempty"` // "tree" (par); older reports also hold "sv"
 	Workers      int     `json:"workers"`
 	NS           int64   `json:"ns"`
 	MPixPerS     float64 `json:"mpix_per_s"`
@@ -45,21 +45,18 @@ func (r Row) Key() string {
 
 // Report is the whole benchjson document.
 type Report struct {
-	Benchmark                    string  `json:"benchmark"`
-	GoMaxProcs                   int     `json:"gomaxprocs"`
-	NumCPU                       int     `json:"numcpu"`
-	Conn                         string  `json:"connectivity"`
-	Modes                        string  `json:"modes"`
-	MinTimeMS                    int64   `json:"mintime_ms"`
-	Rows                         []Row   `json:"rows"`
+	Benchmark  string `json:"benchmark"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+	Conn       string `json:"connectivity"`
+	Modes      string `json:"modes"`
+	MinTimeMS  int64  `json:"mintime_ms"`
+	Rows       []Row  `json:"rows"`
+	// Runs-over-BFS summaries: the geometric-mean speedup of the
+	// single-worker par run engine over the seq BFS cell on the 1024^2
+	// catalog patterns, per mode.
 	GeomeanRunsOverBFS1W1024     float64 `json:"geomean_runs_over_bfs_1worker_1024"`
 	GeomeanGreyRunsOverBFS1W1024 float64 `json:"geomean_grey_runs_over_bfs_1worker_1024"`
-	// Tree-vs-sv summaries: the geometric-mean end-to-end speedup of the
-	// Shiloach-Vishkin merge over the union-find tree for the runs engine
-	// at the multi-worker count on the 1024^2 catalog patterns, per mode.
-	// Zero in reports written before the merge axis existed.
-	GeomeanSVOverTreeMW1024     float64 `json:"geomean_sv_over_tree_multiworker_1024,omitempty"`
-	GeomeanGreySVOverTreeMW1024 float64 `json:"geomean_grey_sv_over_tree_multiworker_1024,omitempty"`
 }
 
 // ReadFile loads a benchjson report.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -146,7 +147,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	t0 := r.StartPhase()
 	r.EndPhase("border_merge", "", t0)
 	m := r.Snapshot()
-	m.Command, m.Backend, m.Algo = "imgcc", "par", "runs"
+	m.Command, m.Backend = "imgcc", "par"
 	m.Workers, m.Image, m.N = 4, "cross", 64
 	m.TotalNS = 12345
 
@@ -164,6 +165,27 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadsDocumentsWithRetiredFields pins that v1 documents written while
+// Metrics still carried the par strip-algorithm and merge-backend fields
+// (and the sv_rounds counter) stay readable and valid.
+func TestReadsDocumentsWithRetiredFields(t *testing.T) {
+	doc := `{"schema": "parimg-metrics/v1", "command": "imgcc", "backend": "par",
+		"algo": "runs", "merge": "sv", "workers": 4, "total_ns": 10,
+		"phases": [{"name": "border_merge", "wall_ns": 5}],
+		"counters": {"sv_rounds": 3, "border_edges": 96}}`
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("old document rejected: %v", err)
+	}
+	if m.Workers != 4 || m.Counters["border_edges"] != 96 {
+		t.Fatalf("old document misread: %+v", m)
+	}
+}
+
 func TestSnapshotIsIndependentCopy(t *testing.T) {
 	r := NewRecorder()
 	r.AddModelPhase("init", "", 1)
@@ -178,7 +200,7 @@ func TestCounterNamesAreStable(t *testing.T) {
 	names := CounterNames()
 	want := []string{"bands", "border_edges", "border_links", "border_pairs",
 		"checkpoints", "grey_runs", "relabeled_pixels", "resume_band", "runs",
-		"strip_components", "sv_rounds", "uf_finds"}
+		"strip_components", "uf_finds"}
 	if len(names) != len(want) {
 		t.Fatalf("counter names = %v", names)
 	}

@@ -16,65 +16,46 @@ import (
 const (
 	allocBudget1W = 0
 	allocBudgetNW = 16 // per worker: 4 phases x closure + waitgroup slack
-	svAllocRounds = 4  // extra parallelDo fan-outs the SV resolve loop may add
 )
 
 // TestLabelIntoAllocs pins the steady-state allocation cost of repeated
-// labelings for both strip algorithms, mirroring the PR-1 simulator alloc
-// work so the run engine cannot silently regress it.
+// labelings of the run engine with the tree border merge, mirroring the
+// simulator alloc work so the engine cannot silently regress it.
 func TestLabelIntoAllocs(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 128)
 	out := image.NewLabels(128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, w := range []int{1, 4} {
-			for _, merge := range []Merge{MergeTree, MergeSV} {
-				t.Run(fmt.Sprintf("%v/workers=%d/%v", algo, w, merge), func(t *testing.T) {
-					e := NewEngine(w)
-					e.SetAlgo(algo)
-					e.SetMerge(merge)
-					e.LabelInto(im, image.Conn8, seq.Binary, out) // warm scratch
-					budget := float64(allocBudget1W)
-					if w > 1 {
-						budget = float64(allocBudgetNW * w)
-						if merge == MergeSV {
-							// Each Shiloach-Vishkin round is one more
-							// parallelDo fan-out (closure + waitgroup per
-							// worker per round); the spiral converges in a
-							// few rounds, so a fixed multiple covers it.
-							budget *= svAllocRounds
-						}
-					}
-					avg := testing.AllocsPerRun(10, func() {
-						e.LabelInto(im, image.Conn8, seq.Binary, out)
-					})
-					if avg > budget {
-						t.Fatalf("%.1f allocs per LabelInto, budget %.0f", avg, budget)
-					}
-				})
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("runs/workers=%d/tree", w), func(t *testing.T) {
+			e := NewEngine(w)
+			e.LabelInto(im, image.Conn8, seq.Binary, out) // warm scratch
+			budget := float64(allocBudget1W)
+			if w > 1 {
+				budget = float64(allocBudgetNW * w)
 			}
-		}
+			avg := testing.AllocsPerRun(10, func() {
+				e.LabelInto(im, image.Conn8, seq.Binary, out)
+			})
+			if avg > budget {
+				t.Fatalf("%.1f allocs per LabelInto, budget %.0f", avg, budget)
+			}
+		})
 	}
 }
 
 // TestGreyLabelIntoAllocs pins the steady-state allocation cost of Grey
-// mode for both strip algorithms: the grey run path (the Algo auto default,
-// byteplane packing plus grey run extraction) and the explicit per-pixel
-// BFS must each stay allocation-free at one worker after warm-up.
+// mode: the grey run path (byteplane packing plus grey run extraction)
+// must stay allocation-free at one worker after warm-up.
 func TestGreyLabelIntoAllocs(t *testing.T) {
 	im := image.RandomGrey(128, 8, 3)
 	out := image.NewLabels(128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		t.Run(algo.String(), func(t *testing.T) {
-			e := NewEngine(1)
-			e.SetAlgo(algo)
-			e.LabelInto(im, image.Conn8, seq.Grey, out) // warm scratch
-			avg := testing.AllocsPerRun(10, func() {
-				e.LabelInto(im, image.Conn8, seq.Grey, out)
-			})
-			if avg > allocBudget1W {
-				t.Fatalf("%.1f allocs per grey %v LabelInto, budget %d",
-					avg, algo, allocBudget1W)
-			}
+	t.Run("runs", func(t *testing.T) {
+		e := NewEngine(1)
+		e.LabelInto(im, image.Conn8, seq.Grey, out) // warm scratch
+		avg := testing.AllocsPerRun(10, func() {
+			e.LabelInto(im, image.Conn8, seq.Grey, out)
 		})
-	}
+		if avg > allocBudget1W {
+			t.Fatalf("%.1f allocs per grey LabelInto, budget %d", avg, allocBudget1W)
+		}
+	})
 }

@@ -19,8 +19,8 @@ func TestLabelErrRejectsOversizedImages(t *testing.T) {
 	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
 		t.Fatalf("LabelErr(n=%d) = %v, want ErrLabelOverflow", im.N, err)
 	}
-	if _, err := LabelWithErr(AlgoAuto, MergeAuto, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
-		t.Fatalf("LabelWithErr(n=%d) = %v, want ErrLabelOverflow", im.N, err)
+	if _, err := LabelContext(nil, nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
+		t.Fatalf("LabelContext(n=%d) = %v, want ErrLabelOverflow", im.N, err)
 	}
 }
 

@@ -60,16 +60,11 @@ func FuzzRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, mode)
-		for _, merge := range []Merge{MergeTree, MergeSV} {
-			e := NewEngine(w)
-			e.SetAlgo(AlgoRuns)
-			e.SetMerge(merge)
-			got := e.Label(im, conn, mode)
-			for i := range want.Lab {
-				if got.Lab[i] != want.Lab[i] {
-					t.Fatalf("n=%d conn=%v workers=%d grey=%v merge=%v: pixel %d: got %d, want %d",
-						n, conn, w, grey, merge, i, got.Lab[i], want.Lab[i])
-				}
+		got := NewEngine(w).Label(im, conn, mode)
+		for i := range want.Lab {
+			if got.Lab[i] != want.Lab[i] {
+				t.Fatalf("n=%d conn=%v workers=%d grey=%v: pixel %d: got %d, want %d",
+					n, conn, w, grey, i, got.Lab[i], want.Lab[i])
 			}
 		}
 	})
@@ -105,16 +100,11 @@ func FuzzGreyRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, seq.Grey)
-		for _, merge := range []Merge{MergeTree, MergeSV} {
-			e := NewEngine(w)
-			e.SetAlgo(AlgoRuns)
-			e.SetMerge(merge)
-			got := e.Label(im, conn, seq.Grey)
-			for i := range want.Lab {
-				if got.Lab[i] != want.Lab[i] {
-					t.Fatalf("n=%d conn=%v workers=%d merge=%v: pixel %d: got %d, want %d",
-						n, conn, w, merge, i, got.Lab[i], want.Lab[i])
-				}
+		got := NewEngine(w).Label(im, conn, seq.Grey)
+		for i := range want.Lab {
+			if got.Lab[i] != want.Lab[i] {
+				t.Fatalf("n=%d conn=%v workers=%d: pixel %d: got %d, want %d",
+					n, conn, w, i, got.Lab[i], want.Lab[i])
 			}
 		}
 	})

@@ -16,56 +16,53 @@ import (
 func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 64)
 	out := image.NewLabels(64)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, w := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/workers=%d", algo, w), func(t *testing.T) {
-				e := NewEngine(w)
-				e.SetAlgo(algo)
-				r := obs.NewRecorder()
-				e.SetObserver(r)
-				comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("runs/workers=%d", w), func(t *testing.T) {
+			e := NewEngine(w)
+			r := obs.NewRecorder()
+			e.SetObserver(r)
+			comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
 
-				m := r.Snapshot()
-				if err := m.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				want := []string{"strip_label"}
-				if w > 1 {
-					want = append(want, "border_merge", "relabel", "cleanup")
-				}
-				for _, name := range want {
-					found := false
-					for _, ph := range m.Phases {
-						if ph.Name == name {
-							found = true
-							if ph.WallNS < 0 {
-								t.Errorf("phase %s has negative wall time", name)
-							}
+			m := r.Snapshot()
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"strip_label"}
+			if w > 1 {
+				want = append(want, "border_merge", "relabel", "cleanup")
+			}
+			for _, name := range want {
+				found := false
+				for _, ph := range m.Phases {
+					if ph.Name == name {
+						found = true
+						if ph.WallNS < 0 {
+							t.Errorf("phase %s has negative wall time", name)
 						}
 					}
-					if !found {
-						t.Errorf("phase %s not recorded (got %+v)", name, m.Phases)
-					}
 				}
-				if got := m.Counters["strip_components"]; got < int64(comps) {
-					t.Errorf("strip_components = %d, want >= %d", got, comps)
+				if !found {
+					t.Errorf("phase %s not recorded (got %+v)", name, m.Phases)
 				}
-				if w > 1 {
-					stripComps := m.Counters["strip_components"]
-					links := m.Counters["border_links"]
-					if int(stripComps-links) != comps {
-						t.Errorf("components: strips %d - links %d != %d",
-							stripComps, links, comps)
-					}
-					if m.Counters["uf_finds"] == 0 {
-						t.Error("uf_finds not counted")
-					}
+			}
+			if got := m.Counters["strip_components"]; got < int64(comps) {
+				t.Errorf("strip_components = %d, want >= %d", got, comps)
+			}
+			if w > 1 {
+				stripComps := m.Counters["strip_components"]
+				links := m.Counters["border_links"]
+				if int(stripComps-links) != comps {
+					t.Errorf("components: strips %d - links %d != %d",
+						stripComps, links, comps)
 				}
-				if algo == AlgoRuns && m.Counters["runs"] == 0 {
-					t.Error("runs not counted on the run engine")
+				if m.Counters["uf_finds"] == 0 {
+					t.Error("uf_finds not counted")
 				}
-			})
-		}
+			}
+			if m.Counters["runs"] == 0 {
+				t.Error("runs not counted on the run engine")
+			}
+		})
 	}
 }
 

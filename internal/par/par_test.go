@@ -117,7 +117,11 @@ func TestLabelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
 				i := (g + iter) % len(ims)
-				got := Label(ims[i], image.Conn8, seq.Binary)
+				got, err := LabelContext(nil, nil, ims[i], image.Conn8, seq.Binary)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
 				for j := range wants[i].Lab {
 					if got.Lab[j] != wants[i].Lab[j] {
 						t.Errorf("goroutine %d: mismatch at %d", g, j)

@@ -7,16 +7,16 @@ import (
 )
 
 // Pool is a free-list of same-sized Engines for callers that need many
-// engines over time but only a few at once — the package-level Label and
-// Histogram functions rent from one, and a serving runtime rents one per
+// engines over time but only a few at once — the package-level
+// LabelContext and Histogram functions rent from one, and a serving runtime rents one per
 // concurrent request. Renting an idle engine is a mutex acquire and a slice
 // pop; only a rent that finds the free list empty constructs a new Engine
 // (and with it the engine's per-worker scratch arenas, which then amortize
 // across every later rental the way a single Engine's scratch amortizes
 // across calls).
 //
-// Return scrubs all per-renter configuration — observer, fault injector,
-// algorithm and merge backend — so a rented engine always starts from the
+// Return scrubs all per-renter configuration — observer and fault
+// injector — so a rented engine always starts from the
 // documented defaults no matter what the previous renter set. Unlike a
 // sync.Pool, a Pool is never drained by the garbage collector: a warm
 // service keeps its arenas.
@@ -43,7 +43,7 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Rent returns an idle engine, constructing one if the free list is empty.
 // The engine is configured with the documented defaults (no observer, no
-// fault injector, AlgoAuto, MergeAuto); the caller owns it until Return.
+// fault injector); the caller owns it until Return.
 // After Close, Rent fails with an error wrapping errs.ErrClosed.
 func (p *Pool) Rent() (*Engine, error) {
 	p.mu.Lock()
@@ -83,8 +83,6 @@ func (p *Pool) Return(e *Engine) {
 	}
 	e.SetObserver(nil)
 	e.SetFaultInjector(nil)
-	e.SetAlgo(AlgoAuto)
-	e.SetMerge(MergeAuto)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

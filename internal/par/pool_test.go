@@ -95,8 +95,6 @@ func TestPoolRentReturn(t *testing.T) {
 		t.Fatal("two concurrent rentals returned the same engine")
 	}
 	// Dirty every per-renter knob, then return.
-	a.SetAlgo(AlgoBFS)
-	a.SetMerge(MergeSV)
 	a.SetObserver(obs.NewRecorder())
 	a.SetFaultInjector(fault.New(1, fault.Panic, 1))
 	p.Return(a)
@@ -111,9 +109,8 @@ func TestPoolRentReturn(t *testing.T) {
 	if c != a && c != b {
 		t.Fatal("Rent after Return did not reuse a pooled engine")
 	}
-	if c.Algo() != AlgoAuto || c.Merge() != MergeAuto || c.Observer() != nil || c.fault != nil {
-		t.Fatalf("rented engine not scrubbed: algo=%v merge=%v obs=%v fault=%v",
-			c.Algo(), c.Merge(), c.Observer(), c.fault)
+	if c.Observer() != nil || c.fault != nil {
+		t.Fatalf("rented engine not scrubbed: obs=%v fault=%v", c.Observer(), c.fault)
 	}
 	im := image.Generate(image.DualSpiral, 32)
 	got, err := c.LabelErr(im, image.Conn8, seq.Binary)

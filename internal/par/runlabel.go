@@ -6,18 +6,16 @@ import (
 	"parimg/internal/seq"
 )
 
-// runLabelInto is the run-based strip engine (AlgoRuns, both modes): the
-// hot per-pixel BFS of the bfs path is replaced by packed rows scanned
-// word-at-a-time into maximal runs — foreground runs over the bit plane in
-// Binary mode, equal-grey-level runs over the byte plane in Grey mode — a
-// strip-local union-find over runs with unite-by-minimum, and span-write
-// painting. Phases 2-4 (cross-strip border merge in the concurrent
-// union-find, final update, cleanup) are shared with the BFS path, except
-// that the final update walks the strip's run table — one find and one
-// span write per run — instead of every pixel. The border merge already
-// compares raw pixels under the mode, so cross-strip unification of grey
-// runs needs no extra value plumbing: two runs unite across a strip
-// boundary exactly when a pair of their pixels connects.
+// runLabelInto is the strip engine, for both modes: packed rows are
+// scanned word-at-a-time into maximal runs — foreground runs over the bit
+// plane in Binary mode, equal-grey-level runs over the byte plane in Grey
+// mode — then united by a strip-local union-find over runs with
+// unite-by-minimum and painted with span writes. Phase 2 intersects the
+// boundary run lists of adjacent strips and resolves the edges in the
+// concurrent union-find; Phase 3 walks each strip's run table — one find
+// and one span write per run — and Phase 4 clears the touched union-find
+// entries. Two grey runs unite across a strip boundary exactly when their
+// grey levels are equal and their columns touch under the connectivity.
 //
 // Exactness: a run's seed label is the global row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -78,7 +76,7 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 	}
 
 	e.phase("border_merge", func() {
-		e.borderMerge(im, out, conn, mode, W)
+		e.borderMerge(out, conn, mode, W)
 	})
 	if e.interrupted() {
 		return 0
@@ -86,8 +84,8 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 
 	// Phase 3 — final update over runs: a run is uniformly labeled, so one
 	// find on its painted label and one span rewrite (only when the root
-	// moved) replace the BFS path's per-pixel sweep. Background costs
-	// nothing — it has no runs.
+	// moved) replace a per-pixel sweep. Background costs nothing — it has
+	// no runs.
 	e.phase("relabel", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)

@@ -1,15 +1,16 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"parimg/internal/image"
+	"parimg/internal/obs"
 	"parimg/internal/seq"
 )
 
-// TestRunLabelMatchesSequentialCatalog checks the forced run engine
-// against the sequential reference on all nine Figure 1 patterns x
+// TestRunLabelMatchesSequentialCatalog checks the run engine against the sequential reference on all nine Figure 1 patterns x
 // {Conn4, Conn8} at several worker counts — exact array compare.
 func TestRunLabelMatchesSequentialCatalog(t *testing.T) {
 	for _, id := range image.AllPatterns() {
@@ -17,9 +18,7 @@ func TestRunLabelMatchesSequentialCatalog(t *testing.T) {
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			want := seq.LabelBFS(im, conn, seq.Binary)
 			for _, w := range workerCounts {
-				e := NewEngine(w)
-				e.SetAlgo(AlgoRuns)
-				got := e.Label(im, conn, seq.Binary)
+				got := NewEngine(w).Label(im, conn, seq.Binary)
 				requireIdentical(t, got, want,
 					fmt.Sprintf("runs/%v/%v/workers=%d", id, conn, w))
 			}
@@ -34,29 +33,8 @@ func TestRunLabelMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
 	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 		want := seq.LabelBFS(im, conn, seq.Binary)
-		e := NewEngine(4)
-		e.SetAlgo(AlgoRuns)
-		got := e.Label(im, conn, seq.Binary)
+		got := NewEngine(4).Label(im, conn, seq.Binary)
 		requireIdentical(t, got, want, fmt.Sprintf("runs/darpa/%v", conn))
-	}
-}
-
-// TestAlgoDispatch pins the resolution table: Auto resolves to the run
-// engine for every mode — the grey run extractor retired the BFS fallback
-// — and only an explicit BFS choice selects the per-pixel path.
-func TestAlgoDispatch(t *testing.T) {
-	cases := []struct {
-		algo Algo
-		want Algo
-	}{
-		{AlgoAuto, AlgoRuns},
-		{AlgoBFS, AlgoBFS},
-		{AlgoRuns, AlgoRuns},
-	}
-	for _, c := range cases {
-		if got := c.algo.effective(); got != c.want {
-			t.Errorf("%v.effective() = %v, want %v", c.algo, got, c.want)
-		}
 	}
 }
 
@@ -73,21 +51,17 @@ func TestGreyRunsMatchesBFS(t *testing.T) {
 		im.Set(i, 2, 1)
 		im.Set(i, 3, 2)
 	}
-	for _, algo := range []Algo{AlgoAuto, AlgoRuns} {
-		e := NewEngine(3)
-		e.SetAlgo(algo)
-		got := e.Label(im, image.Conn8, seq.Grey)
-		want := seq.LabelBFS(im, image.Conn8, seq.Grey)
-		requireIdentical(t, got, want, fmt.Sprintf("grey runs %v", algo))
-		if c := got.Components(); c != 2 {
-			t.Fatalf("grey labeling found %d components, want 2", c)
-		}
+	got := NewEngine(3).Label(im, image.Conn8, seq.Grey)
+	want := seq.LabelBFS(im, image.Conn8, seq.Grey)
+	requireIdentical(t, got, want, "grey runs")
+	if c := got.Components(); c != 2 {
+		t.Fatalf("grey labeling found %d components, want 2", c)
 	}
 }
 
 // TestGreyRunsMatchesSequentialDARPA checks the grey run engine on the
 // DARPA benchmark scene — the paper's flagship grey workload and the
-// acceptance case for retiring the BFS fallback — under Algo auto, both
+// acceptance case for retiring the BFS fallback — in both
 // connectivities, several worker counts, exact array compare.
 func TestGreyRunsMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
@@ -146,34 +120,11 @@ func TestGreyRunsWideLevels(t *testing.T) {
 	}
 }
 
-// TestParseAlgo checks flag-value parsing and String round-trips.
-func TestParseAlgo(t *testing.T) {
-	for _, c := range []struct {
-		s    string
-		want Algo
-	}{{"auto", AlgoAuto}, {"", AlgoAuto}, {"bfs", AlgoBFS}, {"runs", AlgoRuns}} {
-		got, err := ParseAlgo(c.s)
-		if err != nil || got != c.want {
-			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", c.s, got, err, c.want)
-		}
-	}
-	if _, err := ParseAlgo("dfs"); err == nil {
-		t.Error("ParseAlgo(dfs): want error")
-	}
-	for _, a := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		back, err := ParseAlgo(a.String())
-		if err != nil || back != a {
-			t.Errorf("round-trip %v: got %v, %v", a, back, err)
-		}
-	}
-}
-
-// TestRunEngineReuseAndInto runs one engine across sizes, algorithms and
-// dirty outputs to prove the run scratch (bitplane, run tables, union-find)
+// TestRunEngineReuseAndInto runs one engine across sizes and dirty
+// outputs to prove the run scratch (bitplane, run tables, union-find)
 // resets correctly between calls.
 func TestRunEngineReuseAndInto(t *testing.T) {
 	e := NewEngine(4)
-	e.SetAlgo(AlgoRuns)
 	for i, n := range []int{64, 32, 65, 16, 64} {
 		im := image.RandomBinary(n, 0.5, uint64(i+1))
 		want := seq.LabelBFS(im, image.Conn8, seq.Binary)
@@ -192,13 +143,23 @@ func TestRunEngineReuseAndInto(t *testing.T) {
 	}
 }
 
-// TestLabelWithPooled exercises the pooled package-level entry point for
-// both explicit algorithms.
-func TestLabelWithPooled(t *testing.T) {
+// TestLabelContextPooled exercises the pooled package-level entry point:
+// with neither context nor recorder, and with both.
+func TestLabelContextPooled(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 96)
 	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-	for _, algo := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		got := LabelWith(algo, MergeAuto, im, image.Conn8, seq.Binary)
-		requireIdentical(t, got, want, fmt.Sprintf("pooled %v", algo))
+	got, err := LabelContext(nil, nil, im, image.Conn8, seq.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, got, want, "pooled, no context")
+	rec := obs.NewRecorder()
+	got, err = LabelContext(context.Background(), rec, im, image.Conn8, seq.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, got, want, "pooled, observed")
+	if rec.Counter(obs.CtrRuns) == 0 {
+		t.Error("recorder passed to LabelContext saw no runs")
 	}
 }

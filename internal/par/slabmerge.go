@@ -12,8 +12,9 @@ import (
 // adjacent label slabs — the in-memory strips of the resident engine
 // (uint32 labels) and the band windows of the out-of-core streaming
 // pipeline (uint64 global labels, since a streamed image's pixel count may
-// exceed 2^32). The engine's own extraction and tree-resolution passes
-// delegate here, so the two paths cannot drift.
+// exceed 2^32). The engine's resolution pass delegates to ResolveBoundary,
+// so the two paths cannot drift; its extraction intersects run lists
+// instead (extractRunEdges), since its strips keep their run tables.
 
 // BoundaryLabel is the label word of a slab: the resident engine's uint32
 // strip labels or the streaming pipeline's uint64 global labels.
@@ -84,7 +85,7 @@ func AppendBoundaryEdges[L BoundaryLabel](dst []L, topPix, botPix []uint32,
 // one Unite per edge, returning the number of links — unites that joined
 // two previously distinct sets, the quantity "strip components minus
 // links = total components" charges. A non-nil stop is polled every 8192
-// edges. This is the tree backend's resolution loop, shared with the
+// edges. This is the resident engine's resolution loop, shared with the
 // streaming pipeline's band merge.
 func ResolveBoundary[L BoundaryLabel](edges []L, uf Uniter[L], stop *atomic.Bool) int {
 	links := 0

@@ -59,7 +59,7 @@ func TestBandResolveMatchesPaint(t *testing.T) {
 			n := c.rows * c.cols
 			want := make([]uint32, n)
 			wantComps, _ := TileLabeler(c.pix, c.rows, c.cols, conn, c.mode,
-				func(i, j int) uint32 { return uint32(i*c.cols+j) + 1 }, want, nil, nil)
+				func(i, j int) uint32 { return uint32(i*c.cols+j) + 1 }, want, nil)
 			wantSize := map[uint32]uint32{}
 			for _, l := range want {
 				if l != 0 {

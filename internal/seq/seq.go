@@ -7,16 +7,9 @@ package seq
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"parimg/internal/image"
 )
-
-// stopStride is how many BFS pops (or painted runs) a cancelable loop
-// processes between looks at its stop flag: coarse enough that the atomic
-// load vanishes in the per-pixel work, fine enough that cancellation lands
-// within tens of microseconds.
-const stopStride = 4096
 
 // Mode selects which pixels are considered connected.
 type Mode int
@@ -68,17 +61,13 @@ func Histogram(pix []uint32, h []uint32) error {
 // is min(global index)+1 over the tile component.
 //
 // pix and labels are row-major with rows*cols elements; labels must be
-// zeroed. Returns the number of components found in the tile.
-//
-// stop, when non-nil, is a cooperative cancellation flag: the scan checks
-// it once per row and the BFS drain every stopStride pops, returning early
-// (with labels partially written) once it is set. Callers that cancel are
-// responsible for discarding the partial labels. A nil stop costs nothing.
+// zeroed. Returns the number of components found in the tile and the
+// (possibly grown) queue for reuse; a nil queue is allocated here.
 //
 // Following Section 5.1, the scan only needs to look at forward neighbors,
 // but the BFS itself explores all neighbors of the connectivity.
 func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mode,
-	labelAt func(i, j int) uint32, labels []uint32, queue []int32, stop *atomic.Bool) (int, []int32) {
+	labelAt func(i, j int) uint32, labels []uint32, queue []int32) (int, []int32) {
 	if len(pix) != rows*cols || len(labels) != rows*cols {
 		// Invariant panic: the tile buffers are sized by the backends from
 		// the same layout; a mismatch is a bug, not caller input.
@@ -90,11 +79,7 @@ func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mod
 	if queue == nil {
 		queue = make([]int32, 0, rows*cols)
 	}
-	pops := 0
 	for i := 0; i < rows; i++ {
-		if stop != nil && stop.Load() {
-			return comps, queue
-		}
 		for j := 0; j < cols; j++ {
 			idx := i*cols + j
 			if pix[idx] == 0 || labels[idx] != 0 {
@@ -110,13 +95,6 @@ func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mod
 			labels[idx] = lab
 			queue = append(queue[:0], int32(idx))
 			for len(queue) > 0 {
-				if stop != nil {
-					// One giant component can cover the whole tile, so
-					// per-row checks alone are not responsive enough.
-					if pops++; pops%stopStride == 0 && stop.Load() {
-						return comps, queue
-					}
-				}
 				u := int(queue[len(queue)-1])
 				queue = queue[:len(queue)-1]
 				ui, uj := u/cols, u%cols
@@ -143,11 +121,12 @@ func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mod
 // each component is the global row-major index of its first pixel plus one.
 // This is the reference labeling that the parallel algorithm must
 // reproduce exactly when merges pick minimum representatives.
-// It is a thin wrapper over a one-shot Labeler; hot paths that label
-// repeatedly should hold a Labeler and reuse its scratch.
 func LabelBFS(im *image.Image, conn image.Connectivity, mode Mode) *image.Labels {
-	var l Labeler
-	return l.Label(im, conn, mode)
+	n := im.N
+	out := image.NewLabels(n)
+	TileLabeler(im.Pix, n, n, conn, mode,
+		func(i, j int) uint32 { return uint32(i*n+j) + 1 }, out.Lab, nil)
+	return out
 }
 
 // Visited is an epoch-stamped visited set over a fixed index range: marking

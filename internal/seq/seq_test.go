@@ -232,7 +232,7 @@ func TestTileLabelerPanicsOnSizeMismatch(t *testing.T) {
 		}
 	}()
 	TileLabeler(make([]uint32, 4), 2, 3, image.Conn8, Binary,
-		func(i, j int) uint32 { return 1 }, make([]uint32, 6), nil, nil)
+		func(i, j int) uint32 { return 1 }, make([]uint32, 6), nil)
 }
 
 func TestFloodRelabel(t *testing.T) {
@@ -245,7 +245,7 @@ func TestFloodRelabel(t *testing.T) {
 	}
 	labels := make([]uint32, 16)
 	TileLabeler(pix, 4, 4, image.Conn4, Grey,
-		func(i, j int) uint32 { return uint32(i*4+j) + 1 }, labels, nil, nil)
+		func(i, j int) uint32 { return uint32(i*4+j) + 1 }, labels, nil)
 	var visited Visited
 	visited.Reset(16)
 	FloodRelabel(pix, labels, 4, 4, image.Conn4, Grey, 0, 999, &visited, nil)
@@ -266,27 +266,5 @@ func TestFloodRelabel(t *testing.T) {
 	visited.Reset(16)
 	if visited.Seen(0) {
 		t.Error("Reset did not invalidate marks")
-	}
-}
-
-func TestLabelerReuse(t *testing.T) {
-	var l Labeler
-	for _, n := range []int{16, 32, 16} {
-		im := image.RandomBinary(n, 0.55, uint64(n))
-		got := l.Label(im, image.Conn8, Binary)
-		want := LabelBFS(im, image.Conn8, Binary)
-		for i := range want.Lab {
-			if got.Lab[i] != want.Lab[i] {
-				t.Fatalf("n=%d: Labeler differs from LabelBFS at %d", n, i)
-			}
-		}
-		out := image.NewLabels(n)
-		out.Lab[0] = 7 // LabelInto must clear stale labels
-		l.LabelInto(im, image.Conn8, Binary, out)
-		for i := range want.Lab {
-			if out.Lab[i] != want.Lab[i] {
-				t.Fatalf("n=%d: LabelInto differs from LabelBFS at %d", n, i)
-			}
-		}
 	}
 }

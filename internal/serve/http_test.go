@@ -211,8 +211,6 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"garbage body", "/label", []byte("not a pgm")},
 		{"bad mode", "/label?mode=sepia", good},
 		{"bad conn", "/label?conn=6", good},
-		{"bad algo", "/label?algo=quantum", good},
-		{"bad merge", "/label?merge=blend", good},
 		{"bad out", "/label?out=bmp", good},
 		{"bad deadline", "/label?deadline_ms=soon", good},
 		{"negative deadline", "/label?deadline_ms=-1", good},

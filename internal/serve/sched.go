@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parimg/internal/errs"
@@ -21,45 +20,37 @@ type task struct {
 	done chan struct{}
 }
 
-// sched is the bounded work-stealing task queue: one FIFO deque per
-// runner, round-robin submission, and idle runners stealing from the
-// longest backlog. A single mutex + condvar serializes queue operations —
-// task bodies (whole-image labelings, ~milliseconds) outweigh a queue op
-// (~nanoseconds) by many orders of magnitude, so contention on the lock is
-// not the bottleneck; the per-runner deques still preserve the submission
-// spread and make stealing observable (the steals counter feeds /metrics).
-// Lock-free deques à la Chase-Lev are the drop-in upgrade if queue ops
-// ever show up in a profile.
+// sched is the bounded task queue: one FIFO shared by every runner under a
+// mutex and condvar. Task bodies (whole-image labelings, ~milliseconds)
+// outweigh a queue op (~nanoseconds) by many orders of magnitude, so
+// contention on the lock is not the bottleneck, and one queue keeps
+// requests in arrival order across runners.
 type sched struct {
 	run      func(*task)
 	maxQueue int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [][]*task // one FIFO per runner
-	depth  int       // total queued (not yet running) tasks
-	next   int       // round-robin submission cursor
+	queue  []*task // queued (not yet running) tasks, oldest first
 	closed bool
 
-	steals atomic.Int64
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // newSched starts `runners` runner goroutines draining the queue into run.
 func newSched(runners, maxQueue int, run func(*task)) *sched {
-	s := &sched{run: run, maxQueue: maxQueue, queues: make([][]*task, runners)}
+	s := &sched{run: run, maxQueue: maxQueue}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(runners)
 	for i := 0; i < runners; i++ {
-		go s.runner(i)
+		go s.runner()
 	}
 	return s
 }
 
-// submit enqueues t onto the next runner's deque, round-robin. Rejects
-// with ErrSaturated when maxQueue tasks are already waiting, and with
-// ErrClosed after close; in both cases the caller owns the task again and
-// done is never closed.
+// submit appends t to the queue. Rejects with ErrSaturated when maxQueue
+// tasks are already waiting, and with ErrClosed after close; in both cases
+// the caller owns the task again and done is never closed.
 func (s *sched) submit(t *task) error {
 	t.enq = time.Now()
 	s.mu.Lock()
@@ -67,80 +58,42 @@ func (s *sched) submit(t *task) error {
 		s.mu.Unlock()
 		return errs.Closed("serve.Do")
 	}
-	if s.depth >= s.maxQueue {
+	if len(s.queue) >= s.maxQueue {
 		s.mu.Unlock()
 		return saturated()
 	}
-	s.queues[s.next] = append(s.queues[s.next], t)
-	s.next = (s.next + 1) % len(s.queues)
-	s.depth++
+	s.queue = append(s.queue, t)
 	s.mu.Unlock()
-	// One Signal suffices: any idle runner can run any task (an awakened
-	// runner with an empty deque steals it).
 	s.cond.Signal()
 	return nil
 }
 
-// runner is one scheduling loop: pop own work, steal otherwise, sleep on
-// the condvar when the whole queue is empty, exit once closed.
-func (s *sched) runner(i int) {
+// runner is one scheduling loop: pop the oldest task, sleep on the condvar
+// while the queue is empty, exit once closed.
+func (s *sched) runner() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var t *task
-		for {
-			if t = s.popLocked(i); t != nil || s.closed {
-				break
-			}
+		for len(s.queue) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		s.mu.Unlock()
-		if t == nil {
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
 			return // closed and drained
 		}
+		t := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		s.mu.Unlock()
 		s.run(t)
 	}
-}
-
-// popLocked takes the head of runner i's own deque, or — when it is
-// empty — steals the head of the longest other deque (the victim with the
-// most backlog sheds load first). Returns nil when every deque is empty.
-func (s *sched) popLocked(i int) *task {
-	if t := popHead(&s.queues[i]); t != nil {
-		s.depth--
-		return t
-	}
-	victim, best := -1, 0
-	for j := range s.queues {
-		if j != i && len(s.queues[j]) > best {
-			victim, best = j, len(s.queues[j])
-		}
-	}
-	if victim < 0 {
-		return nil
-	}
-	t := popHead(&s.queues[victim])
-	s.depth--
-	s.steals.Add(1)
-	return t
-}
-
-// popHead removes and returns the queue's first task (nil when empty).
-func popHead(q *[]*task) *task {
-	if len(*q) == 0 {
-		return nil
-	}
-	t := (*q)[0]
-	(*q)[0] = nil
-	*q = (*q)[1:]
-	return t
 }
 
 // depthNow returns the current number of queued tasks.
 func (s *sched) depthNow() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.depth
+	return len(s.queue)
 }
 
 // close rejects future submissions, fails every queued-but-unstarted task
@@ -149,12 +102,8 @@ func (s *sched) depthNow() int {
 func (s *sched) close() {
 	s.mu.Lock()
 	s.closed = true
-	var orphans []*task
-	for i := range s.queues {
-		orphans = append(orphans, s.queues[i]...)
-		s.queues[i] = nil
-	}
-	s.depth = 0
+	orphans := s.queue
+	s.queue = nil
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	for _, t := range orphans {

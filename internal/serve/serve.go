@@ -1,6 +1,6 @@
 // Package serve is the labeling-as-a-service runtime behind cmd/imgccd: it
 // composes *inter*-image parallelism (one task per request, scheduled onto
-// N runner goroutines by a bounded work-stealing queue) with the existing
+// N runner goroutines by one bounded FIFO queue) with the existing
 // *intra*-image strip parallelism of internal/par (each runner drives a
 // W-worker engine rented from a par.Pool).
 //
@@ -117,14 +117,11 @@ func (c Config) normalized() (Config, error) {
 }
 
 // Job is one labeling request. Image is required; zero values of the other
-// fields select the engine defaults (Conn8, Binary, AlgoAuto, MergeAuto,
-// no census).
+// fields select the engine defaults (Conn8, Binary, no census).
 type Job struct {
 	Image *image.Image
 	Conn  image.Connectivity
 	Mode  seq.Mode
-	Algo  par.Algo
-	Merge par.Merge
 	// Census also computes the per-component statistics (size, bounding
 	// box, centroid) after labeling, timed as the "census" phase.
 	Census bool
@@ -263,8 +260,6 @@ func (s *Server) run(t *task) {
 		return
 	}
 	defer s.pool.Return(e)
-	e.SetAlgo(t.job.Algo)
-	e.SetMerge(t.job.Merge)
 	e.SetObserver(rec)
 	e.SetFaultInjector(t.job.Fault)
 	labels := image.NewLabels(t.job.Image.N)
@@ -296,8 +291,6 @@ func (s *Server) finish(t *task, rec *obs.Recorder) {
 	m := rec.Snapshot()
 	m.Command = "imgccd"
 	m.Backend = "par"
-	m.Algo = t.job.Algo.String()
-	m.Merge = t.job.Merge.String()
 	m.Workers = s.cfg.EngineWorkers
 	m.Image = t.job.Name
 	m.N = t.job.Image.N
@@ -341,7 +334,6 @@ func (s *Server) MetricsDocs() []*obs.Metrics {
 	agg.Counters["queue_depth"] = int64(s.sched.depthNow())
 	agg.Counters["queue_capacity"] = int64(s.cfg.QueueDepth)
 	agg.Counters["rejected"] = s.rejected.Load()
-	agg.Counters["steals"] = s.sched.steals.Load()
 	agg.Counters["runners"] = int64(s.cfg.Engines)
 	agg.Counters["engine_workers"] = int64(s.cfg.EngineWorkers)
 	return append([]*obs.Metrics{agg}, s.hist.recent()...)

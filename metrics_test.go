@@ -1,6 +1,8 @@
 package parimg_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"parimg"
+	"parimg/internal/atomicio"
 	"parimg/internal/obs"
 )
 
@@ -20,7 +23,6 @@ import (
 func TestParMetricsPhasesCoverTotal(t *testing.T) {
 	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
 	eng := parimg.NewParallelEngine(4)
-	eng.SetAlgo(parimg.AlgoRuns)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
 	out := parimg.NewLabels(im.N)
@@ -147,12 +149,12 @@ func TestMetricsFlagSmoke(t *testing.T) {
 
 	parPath := filepath.Join(dir, "par.json")
 	runImgcc(t, "-pattern", "four-squares", "-n", "128", "-backend", "par",
-		"-algo", "runs", "-workers", "2", "-top", "0", "-metrics", parPath)
+		"-workers", "2", "-top", "0", "-metrics", parPath)
 	m, err := obs.ReadFile(parPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Backend != "par" || m.Algo != "runs" || m.Workers != 2 ||
+	if m.Backend != "par" || m.Workers != 2 ||
 		m.N != 128 || m.Image != "four-squares" {
 		t.Errorf("par metrics context fields wrong: %+v", m)
 	}
@@ -181,5 +183,63 @@ func runImgcc(t *testing.T, args ...string) {
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("imgcc %v: %v", args, err)
+	}
+}
+
+// TestMetricsOnFailedRuns pins that a failed imgcc run still leaves a
+// diagnosable record: a host-parallel run whose -timeout expires and a
+// -stream -out run whose labels overflow the 16-bit PGM each exit nonzero
+// yet write a schema-valid -metrics document carrying the abort reason,
+// while the stream run leaves no partial -out or -census-json behind.
+func TestMetricsOnFailedRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/imgcc; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "imgcc")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/imgcc").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/imgcc: %v\n%s", err, out)
+	}
+	requireFailedWithMetrics := func(path string, args ...string) {
+		t.Helper()
+		cmd := exec.Command(bin, append(args, "-metrics", path)...)
+		if out, err := cmd.CombinedOutput(); err == nil {
+			t.Fatalf("imgcc %v succeeded, want a failure:\n%s", args, out)
+		}
+		m, err := obs.ReadFile(path) // validates on read
+		if err != nil {
+			t.Fatalf("imgcc %v: no valid metrics document: %v", args, err)
+		}
+		if m.Aborted == "" {
+			t.Errorf("imgcc %v: metrics document has no aborted reason: %+v", args, m)
+		}
+	}
+
+	requireFailedWithMetrics(filepath.Join(dir, "par.json"),
+		"-pattern", "dual-spiral", "-n", "256", "-backend", "par", "-workers", "2",
+		"-timeout", "1ns", "-top", "0")
+
+	// An n x n checkerboard under 4-connectivity has n*n/2 isolated
+	// components: at n = 400, 80000 > 65535, so the census succeeds and the
+	// 16-bit label write fails.
+	const n = 400
+	var pgm bytes.Buffer
+	fmt.Fprintf(&pgm, "P5\n%d %d\n255\n", n, n)
+	for i := 0; i < n*n; i++ {
+		pgm.WriteByte(byte(255 * ((i/n + i%n + 1) % 2)))
+	}
+	in := filepath.Join(dir, "checker.pgm")
+	if err := os.WriteFile(in, pgm.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "labels.pgm")
+	census := filepath.Join(dir, "census.json")
+	requireFailedWithMetrics(filepath.Join(dir, "stream.json"),
+		"-stream", "-in", in, "-band-rows", "64", "-conn", "4", "-top", "0",
+		"-out", out, "-census-json", census)
+	for _, p := range []string{out, out + atomicio.PartialSuffix, census, census + atomicio.PartialSuffix} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("failed stream run left %s behind (stat: %v)", p, err)
+		}
 	}
 }

@@ -55,55 +55,3 @@ func TestPublicParallelEngineReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestPublicAlgoOption drives every exported Algo through LabelParallel
-// and a pinned engine: all choices must reproduce the sequential labeling
-// exactly, including the grey-mode fallback from the run engine to BFS.
-func TestPublicAlgoOption(t *testing.T) {
-	im := GeneratePattern(DualSpiral, 96)
-	want := LabelSequential(im, Conn8, Binary)
-	for _, algo := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		got := LabelParallel(im, LabelOptions{Conn: Conn8, Algo: algo})
-		for i := range want.Lab {
-			if got.Lab[i] != want.Lab[i] {
-				t.Fatalf("algo=%v: label mismatch at pixel %d: got %d, want %d",
-					algo, i, got.Lab[i], want.Lab[i])
-			}
-		}
-
-		eng := NewParallelEngine(3)
-		eng.SetAlgo(algo)
-		out := NewLabels(96)
-		eng.LabelInto(im, Conn8, Binary, out)
-		for i := range want.Lab {
-			if out.Lab[i] != want.Lab[i] {
-				t.Fatalf("engine algo=%v: mismatch at pixel %d", algo, i)
-			}
-		}
-	}
-
-	// Grey mode with a forced run algorithm must fall back to BFS and
-	// still match the grey sequential reference.
-	grey := RandomGrey(64, 8, 9)
-	wantG := LabelSequential(grey, Conn8, Grey)
-	gotG := LabelParallel(grey, LabelOptions{Conn: Conn8, Mode: Grey, Algo: AlgoRuns})
-	for i := range wantG.Lab {
-		if gotG.Lab[i] != wantG.Lab[i] {
-			t.Fatalf("grey fallback: mismatch at pixel %d: got %d, want %d",
-				i, gotG.Lab[i], wantG.Lab[i])
-		}
-	}
-}
-
-// TestParseAlgoPublic checks the exported flag-value parser.
-func TestParseAlgoPublic(t *testing.T) {
-	for s, want := range map[string]Algo{"auto": AlgoAuto, "bfs": AlgoBFS, "runs": AlgoRuns} {
-		got, err := ParseAlgo(s)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseAlgo("nope"); err == nil {
-		t.Error("ParseAlgo(nope): want error")
-	}
-}
