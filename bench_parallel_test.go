@@ -28,7 +28,9 @@ func BenchmarkParallelCC(b *testing.B) {
 				b.SetBytes(int64(n * n)) // MB/s column == MPix/s
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.LabelInto(im, Conn8, Binary, out)
+					if _, err := e.LabelIntoContext(nil, im, Conn8, Binary, out); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -47,7 +49,7 @@ func BenchmarkParallelHistogram(b *testing.B) {
 				b.SetBytes(int64(n * n))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.HistogramInto(im, h); err != nil {
+					if err := e.HistogramIntoContext(nil, im, h); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -159,9 +159,12 @@ func run() error {
 					rec.Reset()
 					eng.SetObserver(rec)
 					t0 := time.Now()
-					eng.LabelInto(in.im, parimg.Conn8, mode, got)
+					_, err := eng.LabelIntoContext(ctx, in.im, parimg.Conn8, mode, got)
 					instrNS := time.Since(t0).Nanoseconds()
 					eng.SetObserver(nil)
+					if err != nil {
+						return err
+					}
 					m := rec.Snapshot()
 					m.Command, m.Backend = "benchjson", "par"
 					m.Workers, m.Image, m.N = w, in.name, n

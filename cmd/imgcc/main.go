@@ -113,22 +113,22 @@ func run() error {
 	if *metricsPath != "" {
 		sim.SetObserver(rec)
 	}
+	start := time.Now()
 	res, err := sim.Label(im, opt)
-	if err != nil {
-		return err
-	}
-	if *metricsPath != "" {
-		m := rec.Snapshot()
+	fill := func(m *parimg.Metrics) {
 		m.Command, m.Backend, m.Machine = "imgcc", "sim", spec.Name
 		m.Procs, m.N = *p, im.N
 		m.Image = cli.ImageName(*patternName, *darpa, *inFile)
-		m.SimTimeS = res.Report.SimTime
-		m.CompTimeS = res.Report.CompTime
-		m.CommTimeS = res.Report.CommTime
-		m.TotalNS = res.Report.Wall.Nanoseconds()
-		if err := cli.WriteMetrics(*metricsPath, m); err != nil {
-			return err
+		m.TotalNS = time.Since(start).Nanoseconds()
+		if res != nil {
+			m.SimTimeS = res.Report.SimTime
+			m.CompTimeS = res.Report.CompTime
+			m.CommTimeS = res.Report.CommTime
+			m.TotalNS = res.Report.Wall.Nanoseconds()
 		}
+	}
+	if err := cli.WriteRunMetrics(*metricsPath, rec, err, fill); err != nil {
+		return err
 	}
 
 	fmt.Printf("%s, p=%d, %dx%d image, %v, %v mode\n",
@@ -178,7 +178,7 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 		m.TotalNS = elapsed.Nanoseconds()
 	}
 	if err != nil {
-		return writeRunMetrics(metricsPath, rec, err, fill)
+		return cli.WriteRunMetrics(metricsPath, rec, err, fill)
 	}
 	if backend == "par" {
 		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), %dx%d image, %v, %v mode\n",
@@ -188,31 +188,7 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 	}
 	fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
 	printTop(labels, top)
-	return writeRunMetrics(metricsPath, rec, nil, fill)
-}
-
-// writeRunMetrics writes the run's metrics document to path (nothing when
-// path is empty) and returns runErr. A failed run still gets its document:
-// runErr marks rec aborted first, and since the first mark wins, a run the
-// engine already marked keeps the engine's reason. fill sets the context
-// fields the recorder does not know.
-func writeRunMetrics(path string, rec *parimg.MetricsRecorder, runErr error,
-	fill func(*parimg.Metrics)) error {
-	if path == "" {
-		return runErr
-	}
-	if runErr != nil {
-		rec.MarkAborted(runErr.Error())
-	}
-	m := rec.Snapshot()
-	fill(m)
-	if err := cli.WriteMetrics(path, m); err != nil {
-		if runErr != nil {
-			return fmt.Errorf("%w (metrics not written: %v)", runErr, err)
-		}
-		return err
-	}
-	return runErr
+	return cli.WriteRunMetrics(metricsPath, rec, nil, fill)
 }
 
 func connOf(opt parimg.LabelOptions) parimg.Connectivity {

@@ -136,11 +136,11 @@ func runStream(cfg streamConfig) error {
 		m.TotalNS = elapsed.Nanoseconds()
 	}
 	if err != nil {
-		return writeRunMetrics(cfg.metricsPath, rec, err, fill)
+		return cli.WriteRunMetrics(cfg.metricsPath, rec, err, fill)
 	}
 	if out != nil {
 		if err := out.Commit(); err != nil {
-			return writeRunMetrics(cfg.metricsPath, rec, err, fill)
+			return cli.WriteRunMetrics(cfg.metricsPath, rec, err, fill)
 		}
 	}
 
@@ -156,10 +156,10 @@ func runStream(cfg streamConfig) error {
 	}
 	if cfg.censusJSON != "" {
 		if err := writeCensusJSON(cfg.censusJSON, res); err != nil {
-			return writeRunMetrics(cfg.metricsPath, rec, err, fill)
+			return cli.WriteRunMetrics(cfg.metricsPath, rec, err, fill)
 		}
 	}
-	return writeRunMetrics(cfg.metricsPath, rec, nil, fill)
+	return cli.WriteRunMetrics(cfg.metricsPath, rec, nil, fill)
 }
 
 // writeCensusJSON writes the run-invariant census document atomically.

@@ -12,9 +12,11 @@
 //	imghist -in scene.pgm -k 256
 //	imghist -darpa -k 256 -backend par
 //
-// Every failure — a malformed flag, an unreadable or hostile PGM file, a
-// grey level outside [0, k) — exits with code 1 and a one-line
-// "imghist: ..." message on stderr, never a panic trace.
+// Every failure — a malformed flag (including -k below 1), an unreadable
+// or hostile PGM file, a grey level outside [0, k) — exits with code 1 and
+// a one-line "imghist: ..." message on stderr, never a panic trace. With
+// -metrics, a failed run still writes its metrics document, marked
+// aborted.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 
 	"parimg"
 	"parimg/internal/cli"
+	"parimg/internal/errs"
 )
 
 func main() { os.Exit(cli.Run("imghist", run)) }
@@ -50,6 +53,9 @@ func run() error {
 		timeout     = cli.TimeoutFlag(flag.CommandLine)
 	)
 	flag.Parse()
+	if *k < 1 {
+		return errs.GreyRange("", *k, "-k: a histogram needs at least 1 bucket")
+	}
 
 	im, err := loadImage(*patternName, *random, *randomGrey, *darpa, *inFile, *n, *k, *seed)
 	if err != nil {
@@ -78,21 +84,21 @@ func run() error {
 	if *metricsPath != "" {
 		sim.SetObserver(rec)
 	}
+	start := time.Now()
 	res, err := sim.HistogramContext(ctx, im, *k)
-	if err != nil {
-		return err
-	}
-	if *metricsPath != "" {
-		m := rec.Snapshot()
+	fill := func(m *parimg.Metrics) {
 		m.Command, m.Backend, m.Machine = "imghist", "sim", spec.Name
 		m.Procs, m.Image, m.N, m.K = *p, imageName, im.N, *k
-		m.SimTimeS = res.Report.SimTime
-		m.CompTimeS = res.Report.CompTime
-		m.CommTimeS = res.Report.CommTime
-		m.TotalNS = res.Report.Wall.Nanoseconds()
-		if err := cli.WriteMetrics(*metricsPath, m); err != nil {
-			return err
+		m.TotalNS = time.Since(start).Nanoseconds()
+		if res != nil {
+			m.SimTimeS = res.Report.SimTime
+			m.CompTimeS = res.Report.CompTime
+			m.CommTimeS = res.Report.CommTime
+			m.TotalNS = res.Report.Wall.Nanoseconds()
 		}
+	}
+	if err := cli.WriteRunMetrics(*metricsPath, rec, err, fill); err != nil {
+		return err
 	}
 
 	if !*quiet {
@@ -113,7 +119,8 @@ func run() error {
 
 // runHost histograms on the host itself — the parallel engine or the
 // sequential baseline — and reports real wall-clock time instead of the
-// simulator's modeled costs.
+// simulator's modeled costs. A failed run still writes its metrics
+// document, marked aborted.
 func runHost(ctx context.Context, backend string, im *parimg.Image, k, workers int, quiet bool,
 	metricsPath, imageName string) error {
 	var (
@@ -121,20 +128,33 @@ func runHost(ctx context.Context, backend string, im *parimg.Image, k, workers i
 		err error
 		rec = parimg.NewMetricsRecorder()
 	)
-	start := time.Now()
+	var elapsed time.Duration
 	if backend == "par" {
 		workers = cli.Workers(workers)
 		eng := parimg.NewParallelEngine(workers)
+		defer eng.Close()
 		if metricsPath != "" {
 			eng.SetObserver(rec)
 		}
-		h, err = eng.HistogramContext(ctx, im, k)
+		h = make([]int64, k)
+		start := time.Now()
+		err = eng.HistogramIntoContext(ctx, im, h)
+		elapsed = time.Since(start)
 	} else {
+		start := time.Now()
 		h, err = parimg.HistogramSequential(im, k)
+		elapsed = time.Since(start)
 	}
-	elapsed := time.Since(start)
+	fill := func(m *parimg.Metrics) {
+		m.Command, m.Backend = "imghist", backend
+		if backend == "par" {
+			m.Workers = workers
+		}
+		m.Image, m.N, m.K = imageName, im.N, k
+		m.TotalNS = elapsed.Nanoseconds()
+	}
 	if err != nil {
-		return err
+		return cli.WriteRunMetrics(metricsPath, rec, err, fill)
 	}
 	if !quiet {
 		for g, c := range h {
@@ -150,19 +170,7 @@ func runHost(ctx context.Context, backend string, im *parimg.Image, k, workers i
 		fmt.Printf("sequential baseline, %dx%d image, k=%d\n", im.N, im.N, k)
 	}
 	fmt.Printf("wall time %v\n", elapsed)
-	if metricsPath != "" {
-		m := rec.Snapshot()
-		m.Command, m.Backend = "imghist", backend
-		if backend == "par" {
-			m.Workers = workers
-		}
-		m.Image, m.N, m.K = imageName, im.N, k
-		m.TotalNS = elapsed.Nanoseconds()
-		if err := cli.WriteMetrics(metricsPath, m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cli.WriteRunMetrics(metricsPath, rec, nil, fill)
 }
 
 func loadImage(pattern string, density float64, grey, darpa bool, inFile string, n, k int, seed uint64) (*parimg.Image, error) {

@@ -167,8 +167,11 @@ func parMetrics(in input, W int) *parimg.Metrics {
 	eng.SetObserver(rec)
 	labels := parimg.NewLabels(in.im.N)
 	start := time.Now()
-	eng.LabelInto(in.im, parimg.Conn8, in.mode, labels)
+	_, err := eng.LabelIntoContext(nil, in.im, parimg.Conn8, in.mode, labels)
 	elapsed := time.Since(start)
+	if err != nil {
+		fatal(err)
+	}
 	m := rec.Snapshot()
 	m.TotalNS = elapsed.Nanoseconds()
 	return m

@@ -313,6 +313,29 @@ func WriteMetrics(path string, m *obs.Metrics) error {
 	return obs.WriteFile(path, m)
 }
 
+// WriteRunMetrics writes a run's metrics document to path (nothing when
+// path is empty) and returns runErr. A failed run still gets its document:
+// runErr marks rec aborted first, and since the first mark wins, a run the
+// engine already marked keeps the engine's reason. fill sets the context
+// fields the recorder does not know.
+func WriteRunMetrics(path string, rec *obs.Recorder, runErr error, fill func(*obs.Metrics)) error {
+	if path == "" {
+		return runErr
+	}
+	if runErr != nil {
+		rec.MarkAborted(runErr.Error())
+	}
+	m := rec.Snapshot()
+	fill(m)
+	if err := WriteMetrics(path, m); err != nil {
+		if runErr != nil {
+			return fmt.Errorf("%w (metrics not written: %v)", runErr, err)
+		}
+		return err
+	}
+	return runErr
+}
+
 // WriteMetricsList validates every document and writes the list to path as
 // one indented JSON array — the multi-configuration form benchjson emits. A
 // no-op when path is empty.

@@ -5,12 +5,20 @@ import (
 	"testing"
 )
 
+// packBits packs the whole of im into a fresh bit plane.
+func packBits(im *Image) *Bitplane {
+	var b Bitplane
+	b.ResetRect(im.N, im.N)
+	b.SetRowsPix(im.Pix, 0, im.N)
+	return &b
+}
+
 // TestBitplanePacking cross-checks every bit of the packed plane against
 // the pixel array, across sides around and on word boundaries.
 func TestBitplanePacking(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 100, 127, 128, 130} {
 		im := RandomBinary(n, 0.5, uint64(n))
-		b := NewBitplane(im)
+		b := packBits(im)
 		if b.WPR != (n+63)/64 {
 			t.Fatalf("n=%d: WPR=%d, want %d", n, b.WPR, (n+63)/64)
 		}
@@ -36,7 +44,7 @@ func TestBitplaneTrailingBitsZero(t *testing.T) {
 		for i := range im.Pix {
 			im.Pix[i] = 1
 		}
-		b := NewBitplane(im)
+		b := packBits(im)
 		for i := 0; i < n; i++ {
 			last := b.Row(i)[b.WPR-1]
 			hi := n - (b.WPR-1)*64
@@ -56,25 +64,25 @@ func TestBitplaneSetRowsReuse(t *testing.T) {
 	}
 	empty := New(70)
 	var b Bitplane
-	b.Reset(70)
-	b.SetRows(full, 0, 70)
-	b.Reset(70)
-	b.SetRows(empty, 0, 70)
+	b.ResetRect(70, 70)
+	b.SetRowsPix(full.Pix, 0, 70)
+	b.ResetRect(70, 70)
+	b.SetRowsPix(empty.Pix, 0, 70)
 	if got := b.OnesCount(); got != 0 {
 		t.Fatalf("after repacking empty image: %d bits set", got)
 	}
 }
 
-// TestBitplaneStripedSetRows packs disjoint row ranges separately (the
-// parallel engine's per-strip packing) and checks the union is complete.
+// TestBitplaneStripedSetRows packs disjoint row ranges separately and
+// checks the union is complete.
 func TestBitplaneStripedSetRows(t *testing.T) {
 	im := RandomBinary(97, 0.4, 7)
 	var b Bitplane
-	b.Reset(97)
+	b.ResetRect(97, 97)
 	for _, r := range [][2]int{{0, 31}, {31, 64}, {64, 97}} {
-		b.SetRows(im, r[0], r[1])
+		b.SetRowsPix(im.Pix, r[0], r[1])
 	}
-	want := NewBitplane(im)
+	want := packBits(im)
 	for i, w := range b.Words {
 		if w != want.Words[i] {
 			t.Fatalf("word %d: %#x, want %#x", i, w, want.Words[i])
@@ -87,10 +95,10 @@ func BenchmarkBitplaneSetRows(b *testing.B) {
 		im := RandomBinary(n, 0.5, 3)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var bp Bitplane
-			bp.Reset(n)
+			bp.ResetRect(n, n)
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
-				bp.SetRows(im, 0, n)
+				bp.SetRowsPix(im.Pix, 0, n)
 			}
 		})
 	}

@@ -5,13 +5,22 @@ import (
 	"testing"
 )
 
+// packBytes packs the whole of im into a fresh byte plane, reporting
+// whether any grey level exceeded a byte.
+func packBytes(im *Image) (*Byteplane, bool) {
+	var b Byteplane
+	b.ResetRect(im.N, im.N)
+	wide := b.SetRowsPix(im.Pix, 0, im.N)
+	return &b, wide
+}
+
 // TestByteplanePackingRoundTrips checks that every pixel of a packed image
 // reads back through Get and through the raw words of Row, across widths
 // on both sides of the 8-pixel word boundary.
 func TestByteplanePackingRoundTrips(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 64, 100} {
 		im := RandomGrey(n, 256, uint64(n)+11)
-		bp, wide := NewByteplane(im)
+		bp, wide := packBytes(im)
 		if wide {
 			t.Fatalf("n=%d: 8-bit image reported wide", n)
 		}
@@ -43,16 +52,16 @@ func TestByteplanePadsTailBytesZero(t *testing.T) {
 	for i := range big.Pix {
 		big.Pix[i] = 255
 	}
-	bp.Reset(16)
-	bp.SetRows(big, 0, 16)
+	bp.ResetRect(16, 16)
+	bp.SetRowsPix(big.Pix, 0, 16)
 
 	// Repack a smaller all-foreground image whose width is mid-word.
 	im := New(11)
 	for i := range im.Pix {
 		im.Pix[i] = 9
 	}
-	bp.Reset(11)
-	if bp.SetRows(im, 0, 11) {
+	bp.ResetRect(11, 11)
+	if bp.SetRowsPix(im.Pix, 0, 11) {
 		t.Fatal("8-bit image reported wide")
 	}
 	for i := 0; i < 11; i++ {
@@ -65,22 +74,22 @@ func TestByteplanePadsTailBytesZero(t *testing.T) {
 	}
 }
 
-// TestByteplaneWideDetection checks that SetRows reports truncation exactly
+// TestByteplaneWideDetection checks that SetRowsPix reports truncation exactly
 // when a pixel exceeds a byte, and that only the strips containing such
 // pixels report it.
 func TestByteplaneWideDetection(t *testing.T) {
 	im := New(8)
 	im.Set(6, 3, 256) // truncates to 0
 	var bp Byteplane
-	bp.Reset(8)
-	if bp.SetRows(im, 0, 4) {
+	bp.ResetRect(8, 8)
+	if bp.SetRowsPix(im.Pix, 0, 4) {
 		t.Fatal("rows [0,4) have no wide pixels but reported wide")
 	}
-	if !bp.SetRows(im, 4, 8) {
+	if !bp.SetRowsPix(im.Pix, 4, 8) {
 		t.Fatal("rows [4,8) contain a wide pixel but reported narrow")
 	}
-	if _, wide := NewByteplane(im); !wide {
-		t.Fatal("NewByteplane missed the wide pixel")
+	if _, wide := packBytes(im); !wide {
+		t.Fatal("packBytes missed the wide pixel")
 	}
 	if got := bp.Get(6, 3); got != 0 {
 		t.Fatalf("truncated pixel packs to %d, want low byte 0", got)
@@ -92,15 +101,15 @@ func TestByteplaneWideDetection(t *testing.T) {
 // contents correct.
 func TestByteplaneResetReuse(t *testing.T) {
 	var bp Byteplane
-	bp.Reset(64)
+	bp.ResetRect(64, 64)
 	base := &bp.Words[:cap(bp.Words)][0]
 	for _, n := range []int{64, 16, 33, 64} {
 		im := RandomGrey(n, 200, uint64(n))
-		bp.Reset(n)
+		bp.ResetRect(n, n)
 		if &bp.Words[:cap(bp.Words)][0] != base {
-			t.Fatalf("Reset(%d) reallocated", n)
+			t.Fatalf("ResetRect(%d, %d) reallocated", n, n)
 		}
-		bp.SetRows(im, 0, n)
+		bp.SetRowsPix(im.Pix, 0, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if got, want := bp.Get(i, j), byte(im.Pix[i*n+j]); got != want {
@@ -111,21 +120,20 @@ func TestByteplaneResetReuse(t *testing.T) {
 	}
 }
 
-// TestByteplaneConcurrentSetRows packs disjoint strips from several
-// goroutines, as the parallel engine's phase 1 does, and verifies the
-// result — run with -race this doubles as the data-race check.
+// TestByteplaneConcurrentSetRows packs disjoint strips of one plane from
+// several goroutines and verifies the result — run with -race this doubles as the data-race check.
 func TestByteplaneConcurrentSetRows(t *testing.T) {
 	const n, W = 67, 5
 	im := RandomGrey(n, 256, 99)
 	var bp Byteplane
-	bp.Reset(n)
+	bp.ResetRect(n, n)
 	var wg sync.WaitGroup
 	for w := 0; w < W; w++ {
 		r0, r1 := w*n/W, (w+1)*n/W
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bp.SetRows(im, r0, r1)
+			bp.SetRowsPix(im.Pix, r0, r1)
 		}()
 	}
 	wg.Wait()

@@ -8,7 +8,7 @@ import (
 	"parimg/internal/seq"
 )
 
-// Allocation budgets for steady-state Engine.LabelInto calls after one
+// Allocation budgets for steady-state Engine.LabelIntoContext calls after one
 // warm-up. A single-worker engine reuses every piece of scratch and must
 // stay allocation-free; multi-worker engines pay only the per-phase
 // goroutine closures of parallelDo (a handful of small allocations per
@@ -27,16 +27,18 @@ func TestLabelIntoAllocs(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("runs/workers=%d/tree", w), func(t *testing.T) {
 			e := NewEngine(w)
-			e.LabelInto(im, image.Conn8, seq.Binary, out) // warm scratch
+			labelInto(t, e, im, image.Conn8, seq.Binary, out) // warm scratch
 			budget := float64(allocBudget1W)
 			if w > 1 {
 				budget = float64(allocBudgetNW * w)
 			}
 			avg := testing.AllocsPerRun(10, func() {
-				e.LabelInto(im, image.Conn8, seq.Binary, out)
+				if _, err := e.LabelIntoContext(nil, im, image.Conn8, seq.Binary, out); err != nil {
+					t.Fatal(err)
+				}
 			})
 			if avg > budget {
-				t.Fatalf("%.1f allocs per LabelInto, budget %.0f", avg, budget)
+				t.Fatalf("%.1f allocs per LabelIntoContext, budget %.0f", avg, budget)
 			}
 		})
 	}
@@ -50,12 +52,14 @@ func TestGreyLabelIntoAllocs(t *testing.T) {
 	out := image.NewLabels(128)
 	t.Run("runs", func(t *testing.T) {
 		e := NewEngine(1)
-		e.LabelInto(im, image.Conn8, seq.Grey, out) // warm scratch
+		labelInto(t, e, im, image.Conn8, seq.Grey, out) // warm scratch
 		avg := testing.AllocsPerRun(10, func() {
-			e.LabelInto(im, image.Conn8, seq.Grey, out)
+			if _, err := e.LabelIntoContext(nil, im, image.Conn8, seq.Grey, out); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if avg > allocBudget1W {
-			t.Fatalf("%.1f allocs per grey LabelInto, budget %d", avg, allocBudget1W)
+			t.Fatalf("%.1f allocs per grey LabelIntoContext, budget %d", avg, allocBudget1W)
 		}
 	})
 }

@@ -20,7 +20,7 @@ import (
 func requireCleanAfterFault(t *testing.T, e *Engine, im *image.Image) {
 	t.Helper()
 	e.SetFaultInjector(nil)
-	got, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	got, err := labelCtx(nil, e, im, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatalf("clean run after fault: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestInjectedPanicEveryPhase(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 64)
 	grey := image.RandomGrey(64, 16, 1)
 	histogram := func(e *Engine) error {
-		_, err := e.Histogram(grey, 16)
+		_, err := histogram(nil, e, grey, 16)
 		return err
 	}
 	cases := []struct {
@@ -59,7 +59,7 @@ func TestInjectedPanicEveryPhase(t *testing.T) {
 			if c.run != nil {
 				err = c.run(e)
 			} else {
-				_, err = e.LabelErr(im, image.Conn8, seq.Binary)
+				_, err = labelCtx(nil, e, im, image.Conn8, seq.Binary)
 			}
 			if !errors.Is(err, errs.ErrAborted) {
 				t.Fatalf("site %s: err = %v, want ErrAborted", c.site, err)
@@ -82,7 +82,7 @@ func TestLabelContextPreCanceled(t *testing.T) {
 	cancel()
 	e := NewEngine(4)
 	im := image.Generate(image.Cross, 64)
-	if _, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrCanceled) {
+	if _, err := labelCtx(ctx, e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	requireCleanAfterFault(t, e, im)
@@ -98,7 +98,7 @@ func TestLabelContextDeadlineMidRun(t *testing.T) {
 	e.SetFaultInjector(fault.New(1, fault.Delay, 1).
 		At("strip_label").OnRank(0).WithDelay(50 * time.Millisecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	_, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary)
+	_, err := labelCtx(ctx, e, im, image.Conn8, seq.Binary)
 	cancel()
 	if !errors.Is(err, errs.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -121,11 +121,11 @@ func TestHistogramContextDeadlineMidRun(t *testing.T) {
 		At("tally").OnRank(0).WithDelay(50 * time.Millisecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := e.HistogramContext(ctx, im, 16); !errors.Is(err, errs.ErrDeadline) {
+	if _, err := histogram(ctx, e, im, 16); !errors.Is(err, errs.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	e.SetFaultInjector(nil)
-	h, err := e.Histogram(im, 16)
+	h, err := histogram(nil, e, im, 16)
 	if err != nil {
 		t.Fatalf("clean histogram after deadline: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestInjectedNoShowReleasedByContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary)
+	_, err := labelCtx(ctx, e, im, image.Conn8, seq.Binary)
 	if !errors.Is(err, errs.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -169,7 +169,7 @@ func TestInjectedNoShowWithoutContextDegradesToPanic(t *testing.T) {
 	im := image.Generate(image.Cross, 64)
 	e := NewEngine(4)
 	e.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("strip_label").OnRank(1))
-	_, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	_, err := labelCtx(nil, e, im, image.Conn8, seq.Binary)
 	if !errors.Is(err, errs.ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -189,7 +189,7 @@ func TestScrubRestoresUnionFind(t *testing.T) {
 	im := image.Generate(image.ConcentricCircles, 128)
 	e := NewEngine(4)
 	e.SetFaultInjector(fault.New(1, fault.Panic, 1).At("relabel").OnRank(1))
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
+	if _, err := labelCtx(nil, e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
 	for i, v := range e.uf.parent {
@@ -211,7 +211,7 @@ func TestProbabilisticChaosSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		e := NewEngine(3)
 		e.SetFaultInjector(fault.New(seed, fault.Panic, 0.3))
-		got, err := e.LabelErr(im, image.Conn8, seq.Binary)
+		got, err := labelCtx(nil, e, im, image.Conn8, seq.Binary)
 		if err != nil {
 			if !errors.Is(err, errs.ErrAborted) {
 				t.Fatalf("seed %d: untyped error %v", seed, err)

@@ -11,13 +11,13 @@ import (
 
 // TestLabelErrRejectsOversizedImages pins the seed-label overflow guard: at
 // n = 65536 the seed label of the last pixel, uint32(n*n-1)+1, wraps to 0,
-// so LabelErr must refuse anything beyond image.MaxSide with
+// so LabelIntoContext must refuse anything beyond image.MaxSide with
 // ErrLabelOverflow instead of producing a silently corrupt labeling.
 func TestLabelErrRejectsOversizedImages(t *testing.T) {
 	im := &image.Image{N: image.MaxSide + 1} // nil Pix: never dereferenced
 	e := NewEngine(2)
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
-		t.Fatalf("LabelErr(n=%d) = %v, want ErrLabelOverflow", im.N, err)
+	if _, err := e.LabelIntoContext(nil, im, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrLabelOverflow) {
+		t.Fatalf("LabelIntoContext(n=%d) = %v, want ErrLabelOverflow", im.N, err)
 	}
 	if _, err := LabelContext(nil, nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
 		t.Fatalf("LabelContext(n=%d) = %v, want ErrLabelOverflow", im.N, err)
@@ -27,22 +27,22 @@ func TestLabelErrRejectsOversizedImages(t *testing.T) {
 func TestLabelErrInputValidation(t *testing.T) {
 	e := NewEngine(2)
 	good := image.GenCross(16)
-	if _, err := e.LabelErr(nil, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrBadInput) {
+	if _, err := e.LabelIntoContext(nil, nil, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("nil image: %v", err)
 	}
-	if _, err := e.LabelErr(&image.Image{N: 4, Pix: make([]uint32, 3)}, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrGeometry) {
+	if _, err := e.LabelIntoContext(nil, &image.Image{N: 4, Pix: make([]uint32, 3)}, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrGeometry) {
 		t.Errorf("short buffer: %v", err)
 	}
-	if _, err := e.LabelErr(good, image.Connectivity(3), seq.Binary); !errors.Is(err, errs.ErrBadInput) {
+	if _, err := e.LabelIntoContext(nil, good, image.Connectivity(3), seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("bad connectivity: %v", err)
 	}
-	if _, err := e.LabelErr(good, image.Conn8, seq.Mode(9)); !errors.Is(err, errs.ErrBadInput) {
+	if _, err := e.LabelIntoContext(nil, good, image.Conn8, seq.Mode(9), image.NewLabels(8)); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("bad mode: %v", err)
 	}
-	if _, err := e.LabelIntoErr(good, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrGeometry) {
+	if _, err := e.LabelIntoContext(nil, good, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrGeometry) {
 		t.Errorf("mismatched labeling side: %v", err)
 	}
-	out, err := e.LabelErr(good, image.Conn8, seq.Binary)
+	out, err := labelCtx(nil, e, good, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatalf("valid input: %v", err)
 	}
@@ -56,14 +56,14 @@ func TestLabelErrInputValidation(t *testing.T) {
 
 func TestHistogramTypedErrors(t *testing.T) {
 	e := NewEngine(2)
-	if _, err := e.Histogram(image.GenCross(16), 0); !errors.Is(err, errs.ErrGreyRange) {
+	if _, err := histogram(nil, e, image.GenCross(16), 0); !errors.Is(err, errs.ErrGreyRange) {
 		t.Errorf("k=0: %v", err)
 	}
-	if err := e.HistogramInto(nil, make([]int64, 4)); !errors.Is(err, errs.ErrBadInput) {
+	if err := e.HistogramIntoContext(nil, nil, make([]int64, 4)); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("nil image: %v", err)
 	}
 	im := image.RandomGrey(16, 8, 1)
-	if _, err := e.Histogram(im, 4); !errors.Is(err, errs.ErrGreyRange) {
+	if _, err := histogram(nil, e, im, 4); !errors.Is(err, errs.ErrGreyRange) {
 		t.Errorf("grey out of range: %v", err)
 	}
 }

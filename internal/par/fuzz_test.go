@@ -60,7 +60,7 @@ func FuzzRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, mode)
-		got := NewEngine(w).Label(im, conn, mode)
+		got := label(t, NewEngine(w), im, conn, mode)
 		for i := range want.Lab {
 			if got.Lab[i] != want.Lab[i] {
 				t.Fatalf("n=%d conn=%v workers=%d grey=%v: pixel %d: got %d, want %d",
@@ -100,7 +100,7 @@ func FuzzGreyRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, seq.Grey)
-		got := NewEngine(w).Label(im, conn, seq.Grey)
+		got := label(t, NewEngine(w), im, conn, seq.Grey)
 		for i := range want.Lab {
 			if got.Lab[i] != want.Lab[i] {
 				t.Fatalf("n=%d conn=%v workers=%d: pixel %d: got %d, want %d",

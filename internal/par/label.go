@@ -28,69 +28,20 @@ func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode s
 	return nil
 }
 
-// Label labels im's connected components with the engine's workers and
-// returns a fresh labeling, pixel-for-pixel identical to seq.LabelBFS.
-// Invalid inputs panic; hostile inputs go through LabelErr.
-func (e *Engine) Label(im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
-	out, err := e.LabelErr(im, conn, mode)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelErr. Silently wrapping seed labels on oversized
-		// images would corrupt the labeling, so fail loudly instead.
-		panic(err.Error())
-	}
-	return out
-}
-
-// LabelErr is Label with typed input validation: a malformed image (nil,
-// side outside (0, MaxSide], wrong buffer length), an unknown connectivity
-// or an unknown mode returns an error from the errs taxonomy instead of
-// panicking or silently wrapping 32-bit seed labels.
-func (e *Engine) LabelErr(im *image.Image, conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	return e.LabelContext(nil, im, conn, mode)
-}
-
-// LabelContext is LabelErr with cooperative cancellation: when ctx is
-// canceled or its deadline expires, the workers stop at their next
-// checkpoint (between phases, and every few thousand rows, runs or edges
-// inside the phase loops) and the call returns an error wrapping
-// errs.ErrCanceled or errs.ErrDeadline; no labeling is returned. A nil ctx
-// disables cancellation at no cost.
-func (e *Engine) LabelContext(ctx context.Context, im *image.Image,
-	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	if err := checkLabelInput("par.Label", im, conn, mode); err != nil {
-		return nil, err
-	}
-	out := image.NewLabels(im.N)
-	if _, err := e.labelInto(ctx, "par.Label", im, conn, mode, out, false); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LabelInto labels im into out (cleared first) and returns the number of
-// components. out must have side im.N. Invalid inputs panic; hostile inputs
-// go through LabelIntoErr.
-func (e *Engine) LabelInto(im *image.Image, conn image.Connectivity, mode seq.Mode, out *image.Labels) int {
-	comps, err := e.LabelIntoErr(im, conn, mode, out)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelIntoErr.
-		panic(err.Error())
-	}
-	return comps
-}
-
-// LabelIntoErr is LabelInto with typed input validation: it additionally
-// checks that out is structurally valid and matches im's side.
-func (e *Engine) LabelIntoErr(im *image.Image, conn image.Connectivity, mode seq.Mode,
-	out *image.Labels) (int, error) {
-	return e.LabelIntoContext(nil, im, conn, mode, out)
-}
-
-// LabelIntoContext is LabelIntoErr with cooperative cancellation; see
-// LabelContext for the error contract. On a run error the contents of out
-// are undefined (partially labeled) — callers must discard them.
+// LabelIntoContext labels im's connected components into out with the
+// engine's workers and returns the number of components; the labeling is
+// pixel-for-pixel identical to seq.LabelBFS. out must have side im.N; its
+// prior contents do not matter. A malformed image (nil, side outside
+// (0, MaxSide], wrong buffer length), a malformed or mismatched out, an
+// unknown connectivity or an unknown mode returns an error from the errs
+// taxonomy instead of panicking or silently wrapping 32-bit seed labels.
+//
+// When ctx is canceled or its deadline expires, the workers stop at their
+// next checkpoint (between phases, and every few thousand rows, runs or
+// edges inside the phase loops) and the call returns an error wrapping
+// errs.ErrCanceled or errs.ErrDeadline. A nil ctx disables cancellation at
+// no cost. On a run error the contents of out are undefined (partially
+// labeled) — callers must discard them.
 func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 	conn image.Connectivity, mode seq.Mode, out *image.Labels) (int, error) {
 	if err := checkLabelInput("par.LabelInto", im, conn, mode); err != nil {
@@ -103,7 +54,7 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 		return 0, errs.Geometry("par.LabelInto", im.N, 0,
 			"labeling side %d does not match image side %d", out.N, im.N)
 	}
-	return e.labelInto(ctx, "par.LabelInto", im, conn, mode, out, true)
+	return e.labelInto(ctx, "par.LabelInto", im, conn, mode, out)
 }
 
 // labelInto runs the run-based strip engine (runLabelInto): strip
@@ -116,16 +67,16 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 // as a typed RunError after the scratch has been scrubbed back to its
 // ready state, so the engine is immediately reusable.
 func (e *Engine) labelInto(ctx context.Context, op string, im *image.Image,
-	conn image.Connectivity, mode seq.Mode, out *image.Labels, clear bool) (int, error) {
+	conn image.Connectivity, mode seq.Mode, out *image.Labels) (int, error) {
 	if err := e.begin(op, ctx); err != nil {
 		return 0, err
 	}
 	defer e.end()
 	flag := e.stopFlag()
-	for i := range e.runners {
-		e.runners[i].Stop = flag
+	for i := range e.labelers {
+		e.labelers[i].SetStop(flag)
 	}
-	comps := e.runLabelInto(im, conn, mode, out, clear)
+	comps := e.runLabelInto(im, conn, mode, out)
 	if err := e.runError(); err != nil {
 		e.scrub()
 		return 0, err
@@ -148,11 +99,14 @@ func (e *Engine) scrub() {
 // from different strips that belong to one component share a root in the
 // concurrent union-find. It runs in two passes: an extraction pass in which
 // worker w reduces the boundary between strips w-1 and w to a union-edge
-// list in its private append-only slab by intersecting the strips' boundary
-// run lists, and a resolution pass (treeResolve) of one-shot concurrent
-// unites. Strip labels must already be painted into out; cross-border link
-// counts land in e.links, raw adjacency counts in e.pairs.
-func (e *Engine) borderMerge(out *image.Labels, conn image.Connectivity, mode seq.Mode, W int) {
+// list in its private append-only slab — AppendBoundaryEdges over the
+// boundary's two pixel rows and two strip-label rows, the same seam the
+// streaming pipeline merges its bands with — and a resolution pass
+// (treeResolve) of one-shot concurrent unites. Strip labels must already
+// be painted into out; cross-border link counts land in e.links, raw
+// adjacency counts in e.pairs.
+func (e *Engine) borderMerge(im *image.Image, out *image.Labels, conn image.Connectivity,
+	mode seq.Mode, W int) {
 	n := out.N
 	e.uf.reset(n*n + 1)
 	e.parallelDo(W, func(w int) {
@@ -163,7 +117,11 @@ func (e *Engine) borderMerge(out *image.Labels, conn image.Connectivity, mode se
 		if w == 0 {
 			return
 		}
-		e.extractRunEdges(out, conn, mode, w, W, n)
+		c, _ := stripBounds(w, W, n)
+		top, bot := (c-1)*n, c*n
+		e.dirty[w], e.pairs[w] = AppendBoundaryEdges(e.dirty[w],
+			im.Pix[top:bot], im.Pix[bot:bot+n], out.Lab[top:bot], out.Lab[bot:bot+n],
+			conn, mode, e.stopFlag())
 	})
 	if e.cancelable && e.stop.Load() {
 		return
@@ -182,76 +140,6 @@ func (e *Engine) treeResolve(W int) {
 		e.checkFault("border_merge", w, 2)
 		e.links[w] = ResolveBoundary(e.dirty[w], &e.uf, e.stopFlag())
 	})
-}
-
-// extractRunEdges is the extraction pass of the run path: instead of
-// scanning boundary pixels it intersects the last-row run list of strip w-1
-// with the first-row run list of strip w (both already sitting in the
-// strips' RunLabelers) and emits exactly one union edge per adjacent run
-// pair — a run's pixels all carry one label, so the pair's single edge is
-// the full dedup. A sparse boundary therefore costs O(runs), not O(side).
-// Adjacency under Conn8 widens each run's column interval by one; two runs
-// connect when the widened intervals overlap and, in grey mode, their grey
-// levels are equal (maximal grey runs can touch, so the sweep keeps a skip
-// pointer and rescans forward per lower run, like seq's uniteRowsGrey —
-// the binary two-pointer advance would drop Conn8 diagonals across
-// touching pairs).
-func (e *Engine) extractRunEdges(out *image.Labels,
-	conn image.Connectivity, mode seq.Mode, w, W, n int) {
-	c, _ := stripBounds(w, W, n)
-	up, lo := &e.runners[w-1], &e.runners[w]
-	upOff, loOff := up.RowOffsets(), lo.RowOffsets()
-	aRuns, bRuns := up.Runs(), lo.Runs()
-	aLo, aHi := int(upOff[len(upOff)-2]), int(upOff[len(upOff)-1])
-	bLo, bHi := int(loOff[0]), int(loOff[1])
-	top, bot := (c-1)*n, c*n
-	var win int32
-	if conn == image.Conn8 {
-		win = 1
-	}
-	dirty := e.dirty[w][:0]
-	var pairs int64
-	if mode == seq.Grey {
-		aVals, bVals := up.Values(), lo.Values()
-		p := aLo
-		for b := bLo; b < bHi; b += 2 {
-			if b&1023 == 0 && e.cancelable && e.stop.Load() {
-				break
-			}
-			b0, b1 := bRuns[b], bRuns[b+1]
-			for p < aHi && aRuns[p+1]+win <= b0 {
-				p += 2
-			}
-			lb := out.Lab[bot+int(b0)]
-			for q := p; q < aHi && aRuns[q] < b1+win; q += 2 {
-				if aVals[q/2] != bVals[b/2] {
-					continue
-				}
-				pairs++
-				dirty = append(dirty, out.Lab[top+int(aRuns[q])], lb)
-			}
-		}
-	} else {
-		p, q := aLo, bLo
-		for p < aHi && q < bHi {
-			if (p+q)&1023 == 0 && e.cancelable && e.stop.Load() {
-				break
-			}
-			a0, a1 := aRuns[p], aRuns[p+1]
-			b0, b1 := bRuns[q], bRuns[q+1]
-			if a0 < b1+win && b0 < a1+win {
-				pairs++
-				dirty = append(dirty, out.Lab[top+int(a0)], out.Lab[bot+int(b0)])
-			}
-			if a1 <= b1 {
-				p += 2
-			} else {
-				q += 2
-			}
-		}
-	}
-	e.pairs[w] = pairs
-	e.dirty[w] = dirty
 }
 
 // finish is Phase 4 plus the component count: restore the union-find's

@@ -19,7 +19,7 @@ func TestMergeBackendsMatchSequentialCatalog(t *testing.T) {
 			for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
 				want := seq.LabelBFS(im, conn, mode)
 				for _, w := range []int{2, 3, 7, 64} {
-					got := NewEngine(w).Label(im, conn, mode)
+					got := label(t, NewEngine(w), im, conn, mode)
 					requireIdentical(t, got, want, fmt.Sprintf(
 						"%v/%v/%v/w=%d", id, conn, mode, w))
 				}
@@ -34,7 +34,7 @@ func TestMergeBackendsDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
 	for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
 		want := seq.LabelBFS(im, image.Conn8, mode)
-		got := NewEngine(4).Label(im, image.Conn8, mode)
+		got := label(t, NewEngine(4), im, image.Conn8, mode)
 		requireIdentical(t, got, want, fmt.Sprintf("darpa/%v", mode))
 	}
 }
@@ -65,7 +65,7 @@ func TestMergeCountersAndCleanup(t *testing.T) {
 	rec := obs.NewRecorder()
 	e.SetObserver(rec)
 	out := image.NewLabels(im.N)
-	comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+	comps := labelInto(t, e, im, image.Conn8, seq.Binary, out)
 	requireIdentical(t, out, want, "striped")
 	if got := int(rec.Counter(obs.CtrStripComponents) - rec.Counter(obs.CtrBorderLinks)); got != comps {
 		t.Errorf("strip_components - border_links = %d, want %d", got, comps)

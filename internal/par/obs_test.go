@@ -10,7 +10,7 @@ import (
 )
 
 // TestLabelRecordsPhasesAndCounters verifies the measured side of the
-// observability layer: with a recorder installed, LabelInto reports the
+// observability layer: with a recorder installed, LabelIntoContext reports the
 // wall-clock phases of the strip algorithm and operation counts consistent
 // with the labeling it produced.
 func TestLabelRecordsPhasesAndCounters(t *testing.T) {
@@ -21,7 +21,7 @@ func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 			e := NewEngine(w)
 			r := obs.NewRecorder()
 			e.SetObserver(r)
-			comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+			comps := labelInto(t, e, im, image.Conn8, seq.Binary, out)
 
 			m := r.Snapshot()
 			if err := m.Validate(); err != nil {
@@ -78,7 +78,7 @@ func TestGreyLabelCountsGreyRuns(t *testing.T) {
 			e := NewEngine(w)
 			r := obs.NewRecorder()
 			e.SetObserver(r)
-			e.LabelInto(im, image.Conn8, seq.Grey, out)
+			labelInto(t, e, im, image.Conn8, seq.Grey, out)
 			m := r.Snapshot()
 			if m.Counters["grey_runs"] == 0 {
 				t.Errorf("grey_runs not counted: %+v", m.Counters)
@@ -96,7 +96,7 @@ func TestHistogramRecordsPhases(t *testing.T) {
 	e := NewEngine(4)
 	r := obs.NewRecorder()
 	e.SetObserver(r)
-	if _, err := e.Histogram(im, 16); err != nil {
+	if _, err := histogram(nil, e, im, 16); err != nil {
 		t.Fatal(err)
 	}
 	m := r.Snapshot()
@@ -113,10 +113,10 @@ func TestObserverOffLeavesNoTrace(t *testing.T) {
 	e := NewEngine(2)
 	r := obs.NewRecorder()
 	e.SetObserver(r)
-	e.LabelInto(im, image.Conn8, seq.Binary, out)
+	labelInto(t, e, im, image.Conn8, seq.Binary, out)
 	e.SetObserver(nil)
 	r.Reset()
-	e.LabelInto(im, image.Conn8, seq.Binary, out)
+	labelInto(t, e, im, image.Conn8, seq.Binary, out)
 	m := r.Snapshot()
 	if len(m.Phases) != 0 || len(m.Counters) != 0 {
 		t.Fatalf("observer off still recorded: %+v", m)

@@ -26,10 +26,10 @@
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
 //     the shared-memory analogue of the paper's Section 4 transpose+combine.
 //
-// An Engine owns all scratch (per-worker run tables, the packed planes, the
-// union-find parent array, histogram shards) and reuses it across calls;
-// the package-level LabelContext and Histogram rent engines from a Pool and
-// are safe for concurrent use.
+// An Engine owns all scratch (a slab labeler per worker, the union-find
+// parent array, histogram shards) and reuses it across calls; the
+// package-level LabelContext and HistogramContext rent engines from a Pool
+// and are safe for concurrent use.
 package par
 
 import (
@@ -49,23 +49,22 @@ import (
 )
 
 // Engine is a reusable host-parallel executor with a fixed worker count and
-// owned scratch. An Engine is not safe for concurrent use; the package
-// functions LabelContext and Histogram pool engines and are.
+// owned scratch. It has one method per operation, LabelIntoContext and
+// HistogramIntoContext. An Engine is not safe for concurrent use; the
+// package functions LabelContext and HistogramContext pool engines and are.
 type Engine struct {
-	workers int
-	obs     *obs.Recorder    // metrics recorder; nil disables all accounting
-	runners []seq.RunLabeler // per-worker run-engine scratch
-	bp      image.Bitplane   // shared bit-packed plane (strips filled per worker)
-	bytep   image.Byteplane  // shared byte-packed grey plane (strips filled per worker)
-	uf      cuf              // border-merge union-find (labels -> roots)
-	dirty   [][]uint32       // per-worker boundary edge slabs, doubling as union-find entries to clear
-	comps   []int            // per-worker strip component counts
-	links   []int            // per-worker cross-border merge counts
-	pairs   []int64          // per-worker boundary adjacency counts (pre-dedup)
-	finds   []int64          // per-worker union-find find calls (final update)
-	relab   []int64          // per-worker pixels rewritten in the final update
-	shards  [][]int64        // per-worker histogram tallies
-	errs    []error          // per-worker tally errors
+	workers  int
+	obs      *obs.Recorder     // metrics recorder; nil disables all accounting
+	labelers []seq.BandLabeler // per-worker strip labeler: packed plane, run table, run union-find
+	uf       cuf               // border-merge union-find (labels -> roots)
+	dirty    [][]uint32        // per-worker boundary edge slabs, doubling as union-find entries to clear
+	comps    []int             // per-worker strip component counts
+	links    []int             // per-worker cross-border merge counts
+	pairs    []int64           // per-worker boundary adjacency counts (pre-dedup)
+	finds    []int64           // per-worker union-find find calls (final update)
+	relab    []int64           // per-worker pixels rewritten in the final update
+	shards   [][]int64         // per-worker histogram tallies
+	errs     []error           // per-worker tally errors
 
 	// Lifecycle state. callMu is held for the duration of every
 	// Label/Histogram call (begin locks it, end releases it), which is what
@@ -96,17 +95,17 @@ func NewEngine(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		workers: workers,
-		runners: make([]seq.RunLabeler, workers),
-		dirty:   make([][]uint32, workers),
-		comps:   make([]int, workers),
-		links:   make([]int, workers),
-		pairs:   make([]int64, workers),
-		finds:   make([]int64, workers),
-		relab:   make([]int64, workers),
-		shards:  make([][]int64, workers),
-		errs:    make([]error, workers),
-		wpanic:  make([]error, workers),
+		workers:  workers,
+		labelers: make([]seq.BandLabeler, workers),
+		dirty:    make([][]uint32, workers),
+		comps:    make([]int, workers),
+		links:    make([]int, workers),
+		pairs:    make([]int64, workers),
+		finds:    make([]int64, workers),
+		relab:    make([]int64, workers),
+		shards:   make([][]int64, workers),
+		errs:     make([]error, workers),
+		wpanic:   make([]error, workers),
 	}
 }
 
@@ -356,8 +355,9 @@ func (e *Engine) stopFlag() *atomic.Bool {
 // goroutine, which is what lets a leak checker assert quiescence right
 // after Close returns. A non-interruptible in-flight call (no context, no
 // injector) never polls the flag and simply runs to completion; Close
-// waits for it. While draining, the engine's heavy scratch (planes,
-// union-find, per-worker run tables) is released to the collector.
+// waits for it. While draining, the engine's heavy scratch (the per-worker
+// labelers' planes and run tables, the union-find) is released to the
+// collector.
 // Idempotent and safe to call concurrently with Label/Histogram; always
 // returns nil.
 func (e *Engine) Close() error {
@@ -367,13 +367,11 @@ func (e *Engine) Close() error {
 	e.stop.Store(true)
 	e.callMu.Lock()
 	// Drop the arena-sized scratch while we hold the mutex: the engine can
-	// never run again, so the planes, union-find and per-worker state are
+	// never run again, so the labelers, union-find and per-worker state are
 	// dead weight a pooled deployment should not keep pinned.
-	e.bp = image.Bitplane{}
-	e.bytep = image.Byteplane{}
 	e.uf = cuf{}
-	for i := range e.runners {
-		e.runners[i] = seq.RunLabeler{}
+	for i := range e.labelers {
+		e.labelers[i] = seq.BandLabeler{}
 		e.dirty[i] = nil
 		e.shards[i] = nil
 	}
@@ -407,24 +405,33 @@ var defaultPool = NewPool(0)
 // their phase records.
 func LabelContext(ctx context.Context, rec *obs.Recorder, im *image.Image,
 	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
+	if err := checkLabelInput("par.Label", im, conn, mode); err != nil {
+		return nil, err
+	}
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)
 	e.SetObserver(rec)
-	return e.LabelContext(ctx, im, conn, mode)
+	out := image.NewLabels(im.N)
+	if _, err := e.labelInto(ctx, "par.Label", im, conn, mode, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// Histogram computes im's k-bucket histogram on a pooled engine with
-// GOMAXPROCS workers. Safe for concurrent use.
-func Histogram(im *image.Image, k int) ([]int64, error) {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	return e.Histogram(im, k)
-}
-
-// HistogramContext is Histogram with cooperative cancellation; see
-// LabelContext for the error contract. Safe for concurrent use.
+// HistogramContext computes im's k-bucket histogram on a pooled engine
+// with GOMAXPROCS workers: per-worker sharded tallies merged in a tree. A
+// bucket count below 1, a malformed image or a pixel with grey level >= k
+// returns a typed error; cancellation follows LabelContext's contract (a
+// nil ctx disables it). Safe for concurrent use.
 func HistogramContext(ctx context.Context, im *image.Image, k int) ([]int64, error) {
+	if k < 1 {
+		return nil, errs.GreyRange("par.Histogram", k, "histogram needs at least 1 bucket, got %d", k)
+	}
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)
-	return e.HistogramContext(ctx, im, k)
+	h := make([]int64, k)
+	if err := e.HistogramIntoContext(ctx, im, h); err != nil {
+		return nil, err
+	}
+	return h, nil
 }

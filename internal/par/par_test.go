@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,6 +13,46 @@ import (
 // workerCounts exercises the sequential fast path, even and odd strip
 // splits, and more workers than image rows.
 var workerCounts = []int{1, 2, 3, 4, 7, 64}
+
+// label labels im into a fresh labeling on e, failing the test on error.
+func label(t testing.TB, e *Engine, im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
+	t.Helper()
+	out := image.NewLabels(im.N)
+	labelInto(t, e, im, conn, mode, out)
+	return out
+}
+
+// labelInto labels im into out on e and returns the component count,
+// failing the test on error.
+func labelInto(t testing.TB, e *Engine, im *image.Image, conn image.Connectivity, mode seq.Mode,
+	out *image.Labels) int {
+	t.Helper()
+	comps, err := e.LabelIntoContext(nil, im, conn, mode, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comps
+}
+
+// labelCtx labels the well-formed im into a fresh labeling on e under ctx,
+// returning the run error instead of failing.
+func labelCtx(ctx context.Context, e *Engine, im *image.Image, conn image.Connectivity,
+	mode seq.Mode) (*image.Labels, error) {
+	out := image.NewLabels(im.N)
+	if _, err := e.LabelIntoContext(ctx, im, conn, mode, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// histogram tallies im's k-bucket histogram on e under ctx.
+func histogram(ctx context.Context, e *Engine, im *image.Image, k int) ([]int64, error) {
+	h := make([]int64, k)
+	if err := e.HistogramIntoContext(ctx, im, h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
 
 func requireIdentical(t *testing.T, got, want *image.Labels, ctx string) {
 	t.Helper()
@@ -34,7 +75,7 @@ func TestLabelMatchesSequentialCatalog(t *testing.T) {
 				want := seq.LabelBFS(im, conn, mode)
 				for _, w := range workerCounts {
 					e := NewEngine(w)
-					got := e.Label(im, conn, mode)
+					got := label(t, e, im, conn, mode)
 					requireIdentical(t, got, want,
 						fmt.Sprintf("%v/%v/%v/workers=%d", id, conn, mode, w))
 				}
@@ -50,7 +91,7 @@ func TestLabelMatchesSequentialDARPA(t *testing.T) {
 	for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
 		want := seq.LabelBFS(im, image.Conn8, mode)
 		e := NewEngine(4)
-		got := e.Label(im, image.Conn8, mode)
+		got := label(t, e, im, image.Conn8, mode)
 		requireIdentical(t, got, want, fmt.Sprintf("darpa/%v", mode))
 	}
 }
@@ -63,7 +104,7 @@ func TestLabelRandomAndTiny(t *testing.T) {
 			im := image.RandomBinary(n, density, uint64(n*100)+uint64(density*10))
 			want := seq.LabelBFS(im, image.Conn8, seq.Binary)
 			for _, w := range workerCounts {
-				got := NewEngine(w).Label(im, image.Conn8, seq.Binary)
+				got := label(t, NewEngine(w), im, image.Conn8, seq.Binary)
 				requireIdentical(t, got, want, fmt.Sprintf("n=%d/d=%g/w=%d", n, density, w))
 			}
 		}
@@ -81,16 +122,16 @@ func TestEngineReuse(t *testing.T) {
 	for i, c := range cases {
 		im := image.RandomGrey(c.n, 8, uint64(i+1))
 		want := seq.LabelBFS(im, image.Conn8, c.mode)
-		got := e.Label(im, image.Conn8, c.mode)
+		got := label(t, e, im, image.Conn8, c.mode)
 		requireIdentical(t, got, want, fmt.Sprintf("reuse case %d", i))
 
-		// LabelInto on a dirty output must clear it and report the
+		// LabelIntoContext on a dirty output must clear it and report the
 		// component count.
 		out := image.NewLabels(c.n)
 		for j := range out.Lab {
 			out.Lab[j] = 12345
 		}
-		comps := e.LabelInto(im, image.Conn8, c.mode, out)
+		comps := labelInto(t, e, im, image.Conn8, c.mode, out)
 		requireIdentical(t, out, want, fmt.Sprintf("reuse into case %d", i))
 		if comps != want.Components() {
 			t.Fatalf("case %d: components = %d, want %d", i, comps, want.Components())
@@ -145,7 +186,7 @@ func TestHistogramMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
-				got, err := NewEngine(w).Histogram(im, k)
+				got, err := histogram(nil, NewEngine(w), im, k)
 				if err != nil {
 					t.Fatalf("n=%d k=%d w=%d: %v", n, k, w, err)
 				}
@@ -165,10 +206,10 @@ func TestHistogramMatchesSequential(t *testing.T) {
 func TestHistogramOutOfRange(t *testing.T) {
 	im := image.New(8)
 	im.Set(3, 3, 9)
-	if _, err := NewEngine(4).Histogram(im, 8); err == nil {
+	if _, err := histogram(nil, NewEngine(4), im, 8); err == nil {
 		t.Fatal("want error for grey level 9 with k=8")
 	}
-	if _, err := NewEngine(4).Histogram(im, 16); err != nil {
+	if _, err := histogram(nil, NewEngine(4), im, 16); err != nil {
 		t.Fatalf("k=16: %v", err)
 	}
 }
@@ -185,7 +226,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := Histogram(im, 64)
+			got, err := HistogramContext(nil, im, 64)
 			if err != nil {
 				t.Error(err)
 				return

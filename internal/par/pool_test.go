@@ -21,7 +21,7 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.DualSpiral, 32)
 	e := NewEngine(2)
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); err != nil {
+	if _, err := labelCtx(nil, e, im, image.Conn8, seq.Binary); err != nil {
 		t.Fatalf("label before Close: %v", err)
 	}
 	if e.Closed() {
@@ -36,17 +36,17 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 	if !e.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
-		t.Fatalf("LabelErr after Close: got %v, want ErrClosed", err)
+	if _, err := labelCtx(nil, e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("LabelIntoContext after Close: got %v, want ErrClosed", err)
 	}
-	if _, err := e.LabelContext(context.Background(), im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
+	if _, err := labelCtx(context.Background(), e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
 		t.Fatalf("LabelContext after Close: got %v, want ErrClosed", err)
 	}
-	if _, err := e.Histogram(im, 2); !errors.Is(err, errs.ErrClosed) {
+	if _, err := histogram(nil, e, im, 2); !errors.Is(err, errs.ErrClosed) {
 		t.Fatalf("Histogram after Close: got %v, want ErrClosed", err)
 	}
 	var re *errs.RunError
-	_, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	_, err := labelCtx(nil, e, im, image.Conn8, seq.Binary)
 	if !errors.As(err, &re) {
 		t.Fatalf("post-Close error is %T, want *errs.RunError", err)
 	}
@@ -64,7 +64,7 @@ func TestEngineCloseDrainsInFlight(t *testing.T) {
 		At("strip_label").OnRank(0).WithDelay(300 * time.Millisecond))
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.LabelContext(context.Background(), im, image.Conn8, seq.Binary)
+		_, err := labelCtx(context.Background(), e, im, image.Conn8, seq.Binary)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the run enter the injected delay
@@ -113,7 +113,7 @@ func TestPoolRentReturn(t *testing.T) {
 		t.Fatalf("rented engine not scrubbed: obs=%v fault=%v", c.Observer(), c.fault)
 	}
 	im := image.Generate(image.DualSpiral, 32)
-	got, err := c.LabelErr(im, image.Conn8, seq.Binary)
+	got, err := labelCtx(nil, c, im, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatalf("label on rented engine: %v", err)
 	}

@@ -6,16 +6,15 @@ import (
 	"parimg/internal/seq"
 )
 
-// runLabelInto is the strip engine, for both modes: packed rows are
-// scanned word-at-a-time into maximal runs — foreground runs over the bit
-// plane in Binary mode, equal-grey-level runs over the byte plane in Grey
-// mode — then united by a strip-local union-find over runs with
-// unite-by-minimum and painted with span writes. Phase 2 intersects the
-// boundary run lists of adjacent strips and resolves the edges in the
-// concurrent union-find; Phase 3 walks each strip's run table — one find
-// and one span write per run — and Phase 4 clears the touched union-find
-// entries. Two grey runs unite across a strip boundary exactly when their
-// grey levels are equal and their columns touch under the connectivity.
+// runLabelInto is the strip engine, for both modes: each worker run-labels
+// its strip with its own seq.BandLabeler — maximal foreground runs in
+// Binary mode, equal-grey-level runs in Grey mode, united by a strip-local
+// union-find over runs with unite-by-minimum and painted with span writes
+// lifted to global labels. Phase 2 walks the boundary pixel rows of
+// adjacent strips (AppendBoundaryEdges, the seam the streaming pipeline
+// merges its bands with) and resolves the edges in the concurrent
+// union-find; Phase 3 walks each strip's run table — one find and one
+// span write per run — and Phase 4 clears the touched union-find entries.
 //
 // Exactness: a run's seed label is the global row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -25,50 +24,32 @@ import (
 // BFS assigns. The result is therefore pixel-for-pixel identical to
 // seq.LabelBFS, not merely equivalent up to renaming.
 func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq.Mode,
-	out *image.Labels, clear bool) int {
+	out *image.Labels) int {
 	n := im.N
 	W := e.stripCount(n)
-	grey := mode == seq.Grey
-	if grey {
-		e.bytep.Reset(n)
-	} else {
-		e.bp.Reset(n)
-	}
 
 	if W == 1 {
 		// Single strip: no borders to merge, and no parallelDo closure
 		// to allocate — the whole call is allocation-free at steady state
 		// (the phase marks are nil-safe no-ops with metrics disabled).
 		t0 := e.obs.StartPhase()
-		var comps int
-		if grey {
-			comps = e.greyLabelStrip(im, 0, n, 0, conn, clear, out.Lab)
-		} else {
-			e.bp.SetRows(im, 0, n)
-			comps = e.runners[0].LabelStrip(&e.bp, 0, n, conn, clear, out.Lab)
-		}
+		comps := e.labelers[0].Label(im.Pix, n, n, conn, mode, out.Lab)
 		e.obs.EndPhase("strip_label", "", t0)
 		e.obs.Add(obs.CtrStripComponents, int64(comps))
-		e.obs.Add(runCounter(mode), int64(len(e.runners[0].Runs())/2))
+		e.obs.Add(runCounter(mode), int64(len(e.labelers[0].Runs())/2))
 		return comps
 	}
 
-	// Phase 1 — each worker packs its strip's rows into the shared packed
-	// plane (bit plane for binary, byte plane for grey) and run-labels
-	// them: extraction, vertical unites and the paint pass all happen
-	// strip-locally with global seed labels.
+	// Phase 1 — each worker packs and run-labels the rows of its strip in
+	// its own labeler: extraction, vertical unites and the paint pass all
+	// happen strip-locally, with seeds lifted by the strip's first pixel
+	// index into global labels.
 	e.phase("strip_label", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("strip_label", w, 1)
 			r0, r1 := stripBounds(w, W, n)
-			if grey {
-				e.comps[w] = e.greyLabelStrip(im, r0, r1, w, conn, clear,
-					out.Lab[r0*n:r1*n])
-				return
-			}
-			e.bp.SetRows(im, r0, r1)
-			e.comps[w] = e.runners[w].LabelStrip(&e.bp, r0, r1-r0, conn, clear,
-				out.Lab[r0*n:r1*n])
+			e.comps[w] = e.labelers[w].LabelAt(im.Pix[r0*n:r1*n], r1-r0, n, uint32(r0*n),
+				conn, mode, out.Lab[r0*n:r1*n])
 		})
 	})
 	if e.interrupted() {
@@ -76,7 +57,7 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 	}
 
 	e.phase("border_merge", func() {
-		e.borderMerge(out, conn, mode, W)
+		e.borderMerge(im, out, conn, mode, W)
 	})
 	if e.interrupted() {
 		return 0
@@ -90,8 +71,8 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)
 			r0, _ := stripBounds(w, W, n)
-			runs := e.runners[w].Runs()
-			rowOff := e.runners[w].RowOffsets()
+			runs := e.labelers[w].Runs()
+			rowOff := e.labelers[w].RowOffsets()
 			var finds, relab int64
 			for i := 0; i+1 < len(rowOff); i++ {
 				if i&63 == 0 && e.cancelable && e.stop.Load() {
@@ -120,25 +101,11 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 	if e.obs != nil {
 		var runs int64
 		for w := 0; w < W; w++ {
-			runs += int64(len(e.runners[w].Runs()) / 2)
+			runs += int64(len(e.labelers[w].Runs()) / 2)
 		}
 		e.obs.Add(runCounter(mode), runs)
 	}
 	return comps
-}
-
-// greyLabelStrip packs rows [r0, r1) into the shared byte plane and grey-
-// run-labels them with worker w's RunLabeler. Strips whose grey levels
-// exceed a byte (SetRows reports the truncation) extract their runs from
-// the raw uint32 pixels instead — same representation, full-width
-// compares — so the fast path never trades correctness for speed.
-func (e *Engine) greyLabelStrip(im *image.Image, r0, r1, w int, conn image.Connectivity,
-	clear bool, lab []uint32) int {
-	bp := &e.bytep
-	if e.bytep.SetRows(im, r0, r1) {
-		bp = nil
-	}
-	return e.runners[w].LabelGreyStrip(bp, im, r0, r1-r0, conn, clear, lab)
 }
 
 // runCounter returns the obs counter that tallies extracted runs for the

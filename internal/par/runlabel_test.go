@@ -18,7 +18,7 @@ func TestRunLabelMatchesSequentialCatalog(t *testing.T) {
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			want := seq.LabelBFS(im, conn, seq.Binary)
 			for _, w := range workerCounts {
-				got := NewEngine(w).Label(im, conn, seq.Binary)
+				got := label(t, NewEngine(w), im, conn, seq.Binary)
 				requireIdentical(t, got, want,
 					fmt.Sprintf("runs/%v/%v/workers=%d", id, conn, w))
 			}
@@ -33,7 +33,7 @@ func TestRunLabelMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
 	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 		want := seq.LabelBFS(im, conn, seq.Binary)
-		got := NewEngine(4).Label(im, conn, seq.Binary)
+		got := label(t, NewEngine(4), im, conn, seq.Binary)
 		requireIdentical(t, got, want, fmt.Sprintf("runs/darpa/%v", conn))
 	}
 }
@@ -51,7 +51,7 @@ func TestGreyRunsMatchesBFS(t *testing.T) {
 		im.Set(i, 2, 1)
 		im.Set(i, 3, 2)
 	}
-	got := NewEngine(3).Label(im, image.Conn8, seq.Grey)
+	got := label(t, NewEngine(3), im, image.Conn8, seq.Grey)
 	want := seq.LabelBFS(im, image.Conn8, seq.Grey)
 	requireIdentical(t, got, want, "grey runs")
 	if c := got.Components(); c != 2 {
@@ -69,7 +69,7 @@ func TestGreyRunsMatchesSequentialDARPA(t *testing.T) {
 		want := seq.LabelBFS(im, conn, seq.Grey)
 		for _, w := range []int{1, 3, 8} {
 			e := NewEngine(w)
-			got := e.Label(im, conn, seq.Grey)
+			got := label(t, e, im, conn, seq.Grey)
 			requireIdentical(t, got, want, fmt.Sprintf("grey runs darpa/%v/workers=%d", conn, w))
 		}
 	}
@@ -86,7 +86,7 @@ func TestGreyRunsMatchesSequentialRandom(t *testing.T) {
 			want := seq.LabelBFS(im, image.Conn8, seq.Grey)
 			for _, w := range workerCounts {
 				e := NewEngine(w)
-				got := e.Label(im, image.Conn8, seq.Grey)
+				got := label(t, e, im, image.Conn8, seq.Grey)
 				requireIdentical(t, got, want,
 					fmt.Sprintf("grey runs n=%d k=%d workers=%d", n, k, w))
 			}
@@ -111,7 +111,7 @@ func TestGreyRunsWideLevels(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		e := NewEngine(w)
-		got := e.Label(im, image.Conn8, seq.Grey)
+		got := label(t, e, im, image.Conn8, seq.Grey)
 		want := seq.LabelBFS(im, image.Conn8, seq.Grey)
 		requireIdentical(t, got, want, fmt.Sprintf("wide grey workers=%d", w))
 		if c := got.Components(); c != 2 {
@@ -128,14 +128,14 @@ func TestRunEngineReuseAndInto(t *testing.T) {
 	for i, n := range []int{64, 32, 65, 16, 64} {
 		im := image.RandomBinary(n, 0.5, uint64(i+1))
 		want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-		got := e.Label(im, image.Conn8, seq.Binary)
+		got := label(t, e, im, image.Conn8, seq.Binary)
 		requireIdentical(t, got, want, fmt.Sprintf("runs reuse case %d", i))
 
 		out := image.NewLabels(n)
 		for j := range out.Lab {
 			out.Lab[j] = 12345
 		}
-		comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+		comps := labelInto(t, e, im, image.Conn8, seq.Binary, out)
 		requireIdentical(t, out, want, fmt.Sprintf("runs reuse into case %d", i))
 		if wc := want.Components(); comps != wc {
 			t.Fatalf("case %d: components = %d, want %d", i, comps, wc)

@@ -12,9 +12,9 @@ import (
 // adjacent label slabs — the in-memory strips of the resident engine
 // (uint32 labels) and the band windows of the out-of-core streaming
 // pipeline (uint64 global labels, since a streamed image's pixel count may
-// exceed 2^32). The engine's resolution pass delegates to ResolveBoundary,
-// so the two paths cannot drift; its extraction intersects run lists
-// instead (extractRunEdges), since its strips keep their run tables.
+// exceed 2^32). Both drivers extract their seam edges with
+// AppendBoundaryEdges and resolve them with ResolveBoundary, so the two
+// paths cannot drift.
 
 // BoundaryLabel is the label word of a slab: the resident engine's uint32
 // strip labels or the streaming pipeline's uint64 global labels.

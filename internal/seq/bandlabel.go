@@ -6,43 +6,54 @@ import (
 	"parimg/internal/image"
 )
 
-// BandLabeler labels rectangular rows x cols band windows with the
-// run-based engine — the unit of work of the out-of-core streaming pipeline
-// (internal/stream), which decodes one horizontal band of a taller-than-
-// resident image at a time. It owns the packed plane and RunLabeler scratch
-// and reuses them across bands, so a steady-state band loop allocates
-// nothing; like the strip labelers, the zero value is ready to use and an
-// instance is not safe for concurrent use.
+// BandLabeler run-labels rectangular rows x cols slabs of a row-major
+// pixel buffer — the unit of work of both labeling drivers: the strips of
+// the host-parallel engine (internal/par), one labeler per worker, and the
+// bands of the out-of-core streaming pipeline (internal/stream), which
+// decodes one horizontal band of a taller-than-resident image at a time.
+// It owns the packed plane, the flat run table, per-run grey values and
+// seed labels, and the run union-find, and reuses them across slabs, so a
+// steady-state slab loop allocates nothing. The run table stays alive
+// after Resolve/Label so a caller can revisit the slab's runs (the
+// parallel engine's final relabel pass does). The zero value is ready to
+// use; an instance is not safe for concurrent use.
 //
-// Seed labels are band-local: the band-row-major index plus one, exactly
-// what LabelStrip assigns with r0 = 0. The caller lifts them into the
-// 64-bit global label space by adding the band's global base offset — the
-// band-local seed of a pixel plus the global index of the band's first
-// pixel is the pixel's global row-major index plus one, so the lifted
-// labeling is the one a (hypothetical) 64-bit whole-image run labeler
-// would produce.
+// Seed labels are slab-local: the slab-row-major index plus one. A caller
+// lifts them into its global label space by adding the slab's base offset
+// — the global index of the slab's first pixel — so the slab-local seed
+// of a pixel plus the base is the pixel's global row-major index plus one,
+// and slabs labeled independently carry globally unique labels. The
+// parallel engine lifts at paint time (LabelAt); the streaming pipeline
+// lifts into 64 bits itself, since a streamed image may exceed 2^32
+// pixels.
 type BandLabeler struct {
-	rl    RunLabeler
-	bp    image.Bitplane
-	bytep image.Byteplane
+	runs   []int32  // flat (start, end) column pairs, rows concatenated
+	rowOff []int32  // rowOff[i] = offset into runs of row i's pairs; len rows+1
+	vals   []uint32 // per-run grey level (grey mode only; empty for binary)
+	seed   []uint32 // per-run slab-local seed label
+	parent []int32  // run union-find; flat (every run at its root) after Resolve
+	stop   *atomic.Bool
+	bp     image.Bitplane
+	bytep  image.Byteplane
 }
 
-// SetStop installs (or, with nil, removes) the cooperative cancellation
-// flag the band labeler's row loops poll; see RunLabeler.Stop.
-func (b *BandLabeler) SetStop(stop *atomic.Bool) { b.rl.Stop = stop }
+// SetStop installs (or, with nil, removes) a cooperative cancellation flag
+// polled once per row by the scan: once set, Resolve and Label return 0
+// early and paint nothing. nil (the default) costs nothing.
+func (b *BandLabeler) SetStop(stop *atomic.Bool) { b.stop = stop }
 
-// Resolve run-labels the rows x cols band in pix without painting it:
+// Resolve run-labels the rows x cols slab in pix without painting it:
 // runs are extracted and united, and the union-find is flattened so that
 // Roots maps every run straight to its root run. It returns the number of
-// components found within the band, or 0 when the Stop flag cut the scan
-// short. Labels are band-local seeds: band-row-major index + 1, so
-// rows*cols must stay well inside uint32 — the streaming pipeline's band
-// budget guarantees it. Binary mode packs the band into the bit plane and
-// takes the word-at-a-time run scan; grey mode packs the byte plane,
-// falling back to full-width extraction over pix when any grey level
-// exceeds a byte.
+// components found within the slab, or 0 when the stop flag cut the scan
+// short. Labels are slab-local seeds, so rows*cols must stay well inside
+// uint32 — the resident engine's MaxSide bound and the streaming
+// pipeline's band budget both guarantee it. Binary mode packs the slab
+// into the bit plane and takes the word-at-a-time run scan; grey mode
+// packs the byte plane, falling back to full-width extraction over pix
+// when any grey level exceeds a byte.
 //
-// A band root is the first run of its band component in row-major order
+// A slab root is the first run of its slab component in row-major order
 // (its seed is the component's minimum), so a consumer that walks runs in
 // order meets every component at its root first.
 func (b *BandLabeler) Resolve(pix []uint32, rows, cols int, conn image.Connectivity, mode Mode) int {
@@ -51,7 +62,7 @@ func (b *BandLabeler) Resolve(pix []uint32, rows, cols int, conn image.Connectiv
 }
 
 // resolve is Resolve, also reporting whether the scan ran to completion
-// (false when the Stop flag cut it short and the run table is partial).
+// (false when the stop flag cut it short and the run table is partial).
 func (b *BandLabeler) resolve(pix []uint32, rows, cols int, conn image.Connectivity,
 	mode Mode) (int, bool) {
 	var comps int
@@ -62,46 +73,67 @@ func (b *BandLabeler) resolve(pix []uint32, rows, cols int, conn image.Connectiv
 		if b.bytep.SetRowsPix(pix, 0, rows) {
 			bp = nil
 		}
-		// The grey strip scan reads pixels through an *image.Image only as
-		// a flat row-major buffer with stride N; a band-shaped view is a
-		// valid trusted-path argument even though it is not square.
-		view := image.Image{N: cols, Pix: pix}
-		comps, ok = b.rl.scanGreyStrip(bp, &view, 0, rows, conn)
+		comps, ok = b.scanGreyStrip(bp, pix, rows, cols, conn)
 	} else {
 		b.bp.ResetRect(rows, cols)
 		b.bp.SetRowsPix(pix, 0, rows)
-		comps, ok = b.rl.scanStrip(&b.bp, 0, rows, conn)
+		comps, ok = b.scanStrip(rows, cols, conn)
 	}
 	if ok {
-		b.rl.flatten()
+		b.flatten()
 	}
 	return comps, ok
 }
 
-// Label is Resolve followed by a paint of the whole band into lab, the
-// rows*cols band-local label plane (background gaps are cleared as part of
-// the paint; lab need not be pre-zeroed). Returns the band's component
-// count.
+// Label is LabelAt with base 0: the slab's labels are its slab-local
+// seeds.
 func (b *BandLabeler) Label(pix []uint32, rows, cols int, conn image.Connectivity,
 	mode Mode, lab []uint32) int {
+	return b.LabelAt(pix, rows, cols, 0, conn, mode, lab)
+}
+
+// LabelAt is Resolve followed by a paint of the whole slab into lab, the
+// rows*cols label plane: every run gets its root's seed plus base, and
+// background gaps are cleared in the same sweep (lab need not be
+// pre-zeroed). Returns the slab's component count. A scan cut short by the
+// stop flag paints nothing and returns 0.
+func (b *BandLabeler) LabelAt(pix []uint32, rows, cols int, base uint32,
+	conn image.Connectivity, mode Mode, lab []uint32) int {
 	comps, ok := b.resolve(pix, rows, cols, conn, mode)
 	if ok {
-		b.rl.paint(rows, cols, true, lab)
+		for i := 0; i < rows; i++ {
+			b.paintRow(i, base, lab[i*cols:(i+1)*cols])
+		}
 	}
 	return comps
 }
 
-// PaintRow paints band row i of the last Resolve into dst (length cols):
-// each run gets its root's band-local seed, background gets 0. It is how
+// PaintRow paints slab row i of the last Resolve into dst (length cols):
+// each run gets its root's slab-local seed, background gets 0. It is how
 // the streaming pipeline materializes only the two seam rows of a band.
-func (b *BandLabeler) PaintRow(i int, dst []uint32) { b.rl.paintRow(i, dst, true) }
+func (b *BandLabeler) PaintRow(i int, dst []uint32) { b.paintRow(i, 0, dst) }
+
+// paintRow paints slab row i into row with seeds lifted by base: a span
+// write per run instead of a store per pixel, background zeroed between
+// runs. The union-find must be flat (resolve completed).
+func (b *BandLabeler) paintRow(i int, base uint32, row []uint32) {
+	lo, hi := b.rowOff[i]/2, b.rowOff[i+1]/2
+	col := int32(0)
+	for k := lo; k < hi; k++ {
+		s, e := b.runs[2*k], b.runs[2*k+1]
+		zero32(row[col:s])
+		Fill32(row[s:e], b.seed[b.parent[k]]+base)
+		col = e
+	}
+	zero32(row[col:])
+}
 
 // ComponentSizes returns, in dst (grown as needed), the pixel count of
-// every band component at its root run's index: dst[r] for each r with
+// every slab component at its root run's index: dst[r] for each r with
 // Roots()[r] == r. Entries at non-root indices are partial sums and carry
-// no meaning. Sizes fit uint32 because the band area does.
+// no meaning. Sizes fit uint32 because the slab area does.
 func (b *BandLabeler) ComponentSizes(dst []uint32) []uint32 {
-	roots, runs := b.rl.parent, b.rl.runs
+	roots, runs := b.parent, b.runs
 	if cap(dst) < len(roots) {
 		dst = make([]uint32, len(roots), cap(roots))
 	}
@@ -117,20 +149,20 @@ func (b *BandLabeler) ComponentSizes(dst []uint32) []uint32 {
 	return dst
 }
 
-// Runs exposes the band's flat (start, end) run table, valid until the next
-// Resolve or Label call.
-func (b *BandLabeler) Runs() []int32 { return b.rl.Runs() }
+// Runs exposes the slab's flat (start, end) column pairs, rows
+// concatenated, valid until the next Resolve or Label call.
+func (b *BandLabeler) Runs() []int32 { return b.runs }
 
-// RowOffsets exposes the per-row offsets into Runs(); see
-// RunLabeler.RowOffsets.
-func (b *BandLabeler) RowOffsets() []int32 { return b.rl.RowOffsets() }
+// RowOffsets exposes, for each slab row, the offset of its first pair in
+// Runs(); the extra final entry is len(Runs()).
+func (b *BandLabeler) RowOffsets() []int32 { return b.rowOff }
 
 // Roots exposes, per run, the index of its root run after Resolve or
-// Label: Roots()[k] <= k, and runs k with Roots()[k] == k are the band's
+// Label: Roots()[k] <= k, and runs k with Roots()[k] == k are the slab's
 // components. Valid until the next Resolve or Label call.
-func (b *BandLabeler) Roots() []int32 { return b.rl.parent }
+func (b *BandLabeler) Roots() []int32 { return b.parent }
 
-// Seeds exposes each run's band-local seed label (band-row-major index of
+// Seeds exposes each run's slab-local seed label (slab-row-major index of
 // its first pixel + 1); a component's label is Seeds()[root]. Valid until
 // the next Resolve or Label call.
-func (b *BandLabeler) Seeds() []uint32 { return b.rl.seed }
+func (b *BandLabeler) Seeds() []uint32 { return b.seed }

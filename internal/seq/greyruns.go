@@ -103,54 +103,35 @@ func AppendGreyRunsPix(row []uint32, dst []int32, vals []uint32) ([]int32, []uin
 	return dst, vals
 }
 
-// LabelGreyStrip labels rows [r0, r0+rows) of im — Grey mode: adjacent
-// pixels connect only when they share one nonzero grey level — into lab,
-// the strip's rows*N slice of the output array, with the same seed-label,
-// clear and return contracts as LabelStrip. Runs are extracted from bp
-// when non-nil (the byte-packed fast path; the caller must have verified
-// the packed rows are not truncated) and from im.Pix otherwise (the
-// full-width fallback for grey levels above 255).
-func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, rows int,
-	conn image.Connectivity, clear bool, lab []uint32) int {
-	comps, ok := rl.scanGreyStrip(bp, im, r0, rows, conn)
-	if ok {
-		rl.paint(rows, im.N, clear, lab)
-	}
-	return comps
-}
-
-// scanGreyStrip is pass one of LabelGreyStrip: extract each row's grey
-// runs and unite them with the like-colored adjacent runs of the row
-// above. Returns as scanStrip does.
-func (rl *RunLabeler) scanGreyStrip(bp *image.Byteplane, im *image.Image, r0, rows int,
+// scanGreyStrip is the grey pass one of Resolve: extract each row's grey
+// runs — from the packed byte plane bp when non-nil, from the raw pixels
+// otherwise (the full-width fallback for grey levels above 255) — and
+// unite them with the like-colored adjacent runs of the row above.
+// Returns as scanStrip does.
+func (b *BandLabeler) scanGreyStrip(bp *image.Byteplane, pix []uint32, rows, cols int,
 	conn image.Connectivity) (comps int, ok bool) {
-	n := im.N
-	rl.reset()
+	b.reset()
 	unites := 0
 	prevLo := 0
 	for i := 0; i < rows; i++ {
-		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-		if rl.Stop != nil && rl.Stop.Load() {
+		b.rowOff = append(b.rowOff, int32(len(b.runs)))
+		if b.stopped() {
 			return 0, false
 		}
-		curLo := len(rl.parent)
+		curLo := len(b.parent)
 		if bp != nil {
-			rl.runs, rl.vals = AppendGreyRuns(bp.Row(r0+i), rl.runs, rl.vals)
+			b.runs, b.vals = AppendGreyRuns(bp.Row(i), b.runs, b.vals)
 		} else {
-			rl.runs, rl.vals = AppendGreyRunsPix(im.Pix[(r0+i)*n:(r0+i+1)*n], rl.runs, rl.vals)
+			b.runs, b.vals = AppendGreyRunsPix(pix[i*cols:(i+1)*cols], b.runs, b.vals)
 		}
-		base := uint32((r0+i)*n) + 1
-		for k := curLo; k < len(rl.runs)/2; k++ {
-			rl.seed = append(rl.seed, base+uint32(rl.runs[2*k]))
-			rl.parent = append(rl.parent, int32(k))
-		}
+		b.addRow(i, cols, curLo)
 		if i > 0 {
-			unites += rl.uniteRowsGrey(prevLo, curLo, len(rl.parent), conn)
+			unites += b.uniteRowsGrey(prevLo, curLo, len(b.parent), conn)
 		}
 		prevLo = curLo
 	}
-	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-	return len(rl.parent) - unites, true
+	b.rowOff = append(b.rowOff, int32(len(b.runs)))
+	return len(b.parent) - unites, true
 }
 
 // uniteRowsGrey unites each run of the current row [curLo, curHi) with
@@ -167,7 +148,7 @@ func (rl *RunLabeler) scanGreyStrip(bp *image.Byteplane, im *image.Image, r0, ro
 // examined is a genuine adjacency candidate, so the sweep stays linear in
 // runs plus adjacent pairs. Returns the number of unites that merged two
 // distinct sets.
-func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connectivity) int {
+func (b *BandLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connectivity) int {
 	var win int32
 	if conn == image.Conn8 {
 		win = 1
@@ -175,20 +156,15 @@ func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connect
 	unites := 0
 	p := prevLo
 	for c := curLo; c < curHi; c++ {
-		b0, b1 := rl.runs[2*c], rl.runs[2*c+1]
-		for p < curLo && rl.runs[2*p+1]+win <= b0 {
+		b0, b1 := b.runs[2*c], b.runs[2*c+1]
+		for p < curLo && b.runs[2*p+1]+win <= b0 {
 			p++
 		}
-		for q := p; q < curLo && rl.runs[2*q] < b1+win; q++ {
-			if rl.vals[q] == rl.vals[c] && rl.unite(int32(q), int32(c)) {
+		for q := p; q < curLo && b.runs[2*q] < b1+win; q++ {
+			if b.vals[q] == b.vals[c] && b.unite(int32(q), int32(c)) {
 				unites++
 			}
 		}
 	}
 	return unites
 }
-
-// Values returns the strip's per-run grey levels, indexed like Runs()
-// pairs and valid until the next Label*Strip call. Empty after a binary
-// LabelStrip (binary runs carry no values).
-func (rl *RunLabeler) Values() []uint32 { return rl.vals }

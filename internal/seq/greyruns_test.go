@@ -12,14 +12,19 @@ import (
 // exceeds a byte: the sequential grey baseline the tests compare against
 // LabelBFS in Grey mode.
 func LabelRunsGrey(im *image.Image, conn image.Connectivity) *image.Labels {
-	bp, wide := image.NewByteplane(im)
-	if wide {
-		bp = nil
-	}
 	out := image.NewLabels(im.N)
-	var rl RunLabeler
-	rl.LabelGreyStrip(bp, im, 0, im.N, conn, false, out.Lab)
+	var bl BandLabeler
+	bl.Label(im.Pix, im.N, im.N, conn, Grey, out.Lab)
 	return out
+}
+
+// packBytes packs the whole of im into a fresh byte plane, reporting
+// whether any grey level exceeded a byte.
+func packBytes(im *image.Image) (*image.Byteplane, bool) {
+	var bp image.Byteplane
+	bp.ResetRect(im.N, im.N)
+	wide := bp.SetRowsPix(im.Pix, 0, im.N)
+	return &bp, wide
 }
 
 // greyRunsOfRow extracts one row's equal-grey-level runs the slow way,
@@ -53,7 +58,7 @@ func greyRow(t *testing.T, vs []uint32) ([]uint64, []uint32) {
 	n := len(vs)
 	im := image.New(n)
 	copy(im.Pix, vs)
-	bp, wide := image.NewByteplane(im)
+	bp, wide := packBytes(im)
 	if wide {
 		t.Fatalf("greyRow: values exceed a byte: %v", vs)
 	}
@@ -123,7 +128,7 @@ func TestAppendGreyRunsMatchesPixelScan(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 128, 200} {
 		for _, k := range []int{2, 3, 16, 256} {
 			im := image.RandomGrey(n, k, uint64(n*k+1))
-			bp, wide := image.NewByteplane(im)
+			bp, wide := packBytes(im)
 			if wide {
 				t.Fatalf("n=%d k=%d: unexpected wide plane", n, k)
 			}
@@ -257,15 +262,14 @@ func TestGreyRunTouchingDiagonals(t *testing.T) {
 
 func BenchmarkLabelRunsGrey(b *testing.B) {
 	im := image.DARPAScene(1024, 256, 1994)
-	bp, wide := image.NewByteplane(im)
-	if wide {
+	if _, wide := packBytes(im); wide {
 		b.Fatal("darpa scene should pack into bytes")
 	}
 	out := image.NewLabels(im.N)
-	var rl RunLabeler
+	var bl BandLabeler
 	b.SetBytes(int64(im.N * im.N))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rl.LabelGreyStrip(bp, im, 0, im.N, image.Conn8, true, out.Lab)
+		bl.Label(im.Pix, im.N, im.N, image.Conn8, Grey, out.Lab)
 	}
 }

@@ -2,7 +2,6 @@ package seq
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"parimg/internal/image"
 )
@@ -18,9 +17,9 @@ import (
 // set carries exactly the label the row-major BFS labeler assigns, so the
 // output is pixel-for-pixel identical to LabelBFS in Binary mode.
 //
-// The RunLabeler here labels one horizontal strip and is the unit of work
-// the host-parallel engine runs per worker; BandLabeler wraps it for the
-// bands of the out-of-core pipeline.
+// The scan here is the binary half of BandLabeler (bandlabel.go), the slab
+// labeler behind both the host-parallel engine's strips and the
+// out-of-core pipeline's bands.
 
 // AppendRuns appends the maximal set-bit runs of one packed row to dst as
 // (start, end) half-open column pairs, scanning whole 64-bit words with
@@ -80,80 +79,53 @@ func Fill32(s []uint32, v uint32) {
 	}
 }
 
-// RunLabeler is a reusable run-based labeler for one horizontal strip of a
-// binary or grey image. It owns all scratch (the flat run table, per-run
-// grey values and seed labels, and the run union-find) and keeps the run
-// table alive after LabelStrip/LabelGreyStrip so a caller can revisit the
-// strip's runs (the parallel engine's final border-fixup pass does). The
-// zero value is ready to use. A RunLabeler is not safe for concurrent use;
-// give each worker its own.
-type RunLabeler struct {
-	runs   []int32  // flat (start, end) column pairs, rows concatenated
-	rowOff []int32  // rowOff[i] = offset into runs of row i's pairs; len rows+1
-	vals   []uint32 // per-run grey level (grey mode only; empty for binary)
-	seed   []uint32
-	parent []int32
-
-	// Stop, when non-nil, is a cooperative cancellation flag checked once
-	// per row by LabelStrip: once set, labeling returns early with the
-	// strip partially written. nil (the default) costs nothing.
-	Stop *atomic.Bool
-}
-
-// LabelStrip labels rows [r0, r0+rows) of bp — Binary mode: every set bit
-// is foreground — into lab, the strip's rows*N slice of the output array.
-// Seed labels are global (row r0+i of the full image), so strips labeled
-// by different workers carry globally unique labels with no coordination.
-// When clear is true, background gaps are zeroed as part of the paint pass
-// (lab need not be pre-cleared); when false, lab must already be zero.
-// Returns the number of components found within the strip.
-func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Connectivity,
-	clear bool, lab []uint32) int {
-	comps, ok := rl.scanStrip(bp, r0, rows, conn)
-	if ok {
-		rl.paint(rows, bp.N, clear, lab)
-	}
-	return comps
-}
-
-// reset empties the run table and union-find for a new strip, keeping
+// reset empties the run table and union-find for a new slab, keeping
 // their capacity.
-func (rl *RunLabeler) reset() {
-	rl.runs = rl.runs[:0]
-	rl.vals = rl.vals[:0]
-	rl.seed = rl.seed[:0]
-	rl.parent = rl.parent[:0]
-	rl.rowOff = rl.rowOff[:0]
+func (b *BandLabeler) reset() {
+	b.runs = b.runs[:0]
+	b.vals = b.vals[:0]
+	b.seed = b.seed[:0]
+	b.parent = b.parent[:0]
+	b.rowOff = b.rowOff[:0]
 }
 
-// scanStrip is pass one of LabelStrip: extract each row's runs and unite
-// them with the overlapping runs of the row above. It returns the number
-// of components, or ok = false (and 0) when the Stop flag cut the scan
-// short, leaving the run table partial.
-func (rl *RunLabeler) scanStrip(bp *image.Bitplane, r0, rows int, conn image.Connectivity) (comps int, ok bool) {
-	n := bp.N
-	rl.reset()
+// stopped reports whether the cancellation flag is raised.
+func (b *BandLabeler) stopped() bool { return b.stop != nil && b.stop.Load() }
+
+// addRow appends one seed and one singleton union-find entry per run of
+// slab row i, the runs from curLo on, whose seeds are slab-local:
+// i*cols + start + 1.
+func (b *BandLabeler) addRow(i, cols, curLo int) {
+	base := uint32(i*cols) + 1
+	for k := curLo; k < len(b.runs)/2; k++ {
+		b.seed = append(b.seed, base+uint32(b.runs[2*k]))
+		b.parent = append(b.parent, int32(k))
+	}
+}
+
+// scanStrip is the binary pass one of Resolve over the packed bit plane:
+// extract each row's runs and unite them with the overlapping runs of the
+// row above. It returns the number of components, or ok = false (and 0)
+// when the stop flag cut the scan short, leaving the run table partial.
+func (b *BandLabeler) scanStrip(rows, cols int, conn image.Connectivity) (comps int, ok bool) {
+	b.reset()
 	unites := 0
 	prevLo := 0
 	for i := 0; i < rows; i++ {
-		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-		if rl.Stop != nil && rl.Stop.Load() {
+		b.rowOff = append(b.rowOff, int32(len(b.runs)))
+		if b.stopped() {
 			return 0, false
 		}
-		curLo := len(rl.parent)
-		rl.runs = AppendRuns(bp.Row(r0+i), rl.runs)
-		base := uint32((r0+i)*n) + 1
-		for k := curLo; k < len(rl.runs)/2; k++ {
-			rl.seed = append(rl.seed, base+uint32(rl.runs[2*k]))
-			rl.parent = append(rl.parent, int32(k))
-		}
+		curLo := len(b.parent)
+		b.runs = AppendRuns(b.bp.Row(i), b.runs)
+		b.addRow(i, cols, curLo)
 		if i > 0 {
-			unites += rl.uniteRows(prevLo, curLo, len(rl.parent), conn)
+			unites += b.uniteRows(prevLo, curLo, len(b.parent), conn)
 		}
 		prevLo = curLo
 	}
-	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-	return len(rl.parent) - unites, true
+	b.rowOff = append(b.rowOff, int32(len(b.runs)))
+	return len(b.parent) - unites, true
 }
 
 // flatten points every run straight at its root in one forward sweep.
@@ -161,37 +133,10 @@ func (rl *RunLabeler) scanStrip(bp *image.Bitplane, r0, rows int, conn image.Con
 // halving only ever lowers an entry, so parent[k] <= k throughout: by the
 // time the sweep reaches k, parent[k] has already been flattened to its
 // root, and parent[parent[k]] is k's root.
-func (rl *RunLabeler) flatten() {
-	p := rl.parent
+func (b *BandLabeler) flatten() {
+	p := b.parent
 	for k := range p {
 		p[k] = p[p[k]]
-	}
-}
-
-// paint is pass two of both the binary and grey strip labelers: every run
-// is painted with its root's seed label, a span write per run instead of a
-// store per pixel. When clear is true, background gaps are zeroed in the
-// same sweep.
-func (rl *RunLabeler) paint(rows, n int, clear bool, lab []uint32) {
-	for i := 0; i < rows; i++ {
-		rl.paintRow(i, lab[i*n:(i+1)*n], clear)
-	}
-}
-
-// paintRow paints strip row i into row, its n-wide slice of the output.
-func (rl *RunLabeler) paintRow(i int, row []uint32, clear bool) {
-	lo, hi := rl.rowOff[i]/2, rl.rowOff[i+1]/2
-	col := int32(0)
-	for k := lo; k < hi; k++ {
-		s, e := rl.runs[2*k], rl.runs[2*k+1]
-		if clear {
-			zero32(row[col:s])
-		}
-		Fill32(row[s:e], rl.seed[rl.find(k)])
-		col = e
-	}
-	if clear {
-		zero32(row[col:])
 	}
 }
 
@@ -203,7 +148,7 @@ func (rl *RunLabeler) paintRow(i int, row []uint32, clear bool) {
 // maximal runs in a row are separated by at least one background column,
 // advancing the run with the smaller end never skips an adjacency.
 // Returns the number of unites that merged two distinct sets.
-func (rl *RunLabeler) uniteRows(prevLo, curLo, curHi int, conn image.Connectivity) int {
+func (b *BandLabeler) uniteRows(prevLo, curLo, curHi int, conn image.Connectivity) int {
 	var win int32
 	if conn == image.Conn8 {
 		win = 1
@@ -211,10 +156,10 @@ func (rl *RunLabeler) uniteRows(prevLo, curLo, curHi int, conn image.Connectivit
 	unites := 0
 	p, c := prevLo, curLo
 	for p < curLo && c < curHi {
-		a0, a1 := rl.runs[2*p], rl.runs[2*p+1]
-		b0, b1 := rl.runs[2*c], rl.runs[2*c+1]
+		a0, a1 := b.runs[2*p], b.runs[2*p+1]
+		b0, b1 := b.runs[2*c], b.runs[2*c+1]
 		if a0 < b1+win && b0 < a1+win {
-			if rl.unite(int32(p), int32(c)) {
+			if b.unite(int32(p), int32(c)) {
 				unites++
 			}
 		}
@@ -230,35 +175,27 @@ func (rl *RunLabeler) uniteRows(prevLo, curLo, curHi int, conn image.Connectivit
 // find returns the root of run x's set with path halving. Seed labels are
 // strictly increasing in run index, so the minimum root index is also the
 // minimum seed label.
-func (rl *RunLabeler) find(x int32) int32 {
-	for rl.parent[x] != x {
-		rl.parent[x] = rl.parent[rl.parent[x]]
-		x = rl.parent[x]
+func (b *BandLabeler) find(x int32) int32 {
+	for b.parent[x] != x {
+		b.parent[x] = b.parent[b.parent[x]]
+		x = b.parent[x]
 	}
 	return x
 }
 
-// unite merges the sets of runs a and b, linking the larger root under the
+// unite merges the sets of runs x and y, linking the larger root under the
 // smaller (unite-by-minimum). Returns true when two sets became one.
-func (rl *RunLabeler) unite(a, b int32) bool {
-	ra, rb := rl.find(a), rl.find(b)
-	if ra == rb {
+func (b *BandLabeler) unite(x, y int32) bool {
+	rx, ry := b.find(x), b.find(y)
+	if rx == ry {
 		return false
 	}
-	if ra > rb {
-		ra, rb = rb, ra
+	if rx > ry {
+		rx, ry = ry, rx
 	}
-	rl.parent[rb] = ra
+	b.parent[ry] = rx
 	return true
 }
-
-// Runs returns the strip's flat (start, end) column pairs, valid until the
-// next LabelStrip call.
-func (rl *RunLabeler) Runs() []int32 { return rl.runs }
-
-// RowOffsets returns, for each strip row, the offset of its first pair in
-// Runs(); the extra final entry is len(Runs()).
-func (rl *RunLabeler) RowOffsets() []int32 { return rl.rowOff }
 
 // zero32 clears s; the compiler lowers this loop to a memclr.
 func zero32(s []uint32) {

@@ -2,6 +2,8 @@ package seq
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"parimg/internal/image"
@@ -11,11 +13,18 @@ import (
 // algorithm: the sequential run-based baseline the tests compare against
 // LabelBFS (pixel for pixel identical in Binary mode).
 func LabelRuns(im *image.Image, conn image.Connectivity) *image.Labels {
-	bp := image.NewBitplane(im)
 	out := image.NewLabels(im.N)
-	var rl RunLabeler
-	rl.LabelStrip(bp, 0, im.N, conn, false, out.Lab)
+	var bl BandLabeler
+	bl.Label(im.Pix, im.N, im.N, conn, Binary, out.Lab)
 	return out
+}
+
+// packBits packs the whole of im into a fresh bit plane.
+func packBits(im *image.Image) *image.Bitplane {
+	var bp image.Bitplane
+	bp.ResetRect(im.N, im.N)
+	bp.SetRowsPix(im.Pix, 0, im.N)
+	return &bp
 }
 
 // runsOfRow extracts one row's runs the slow way, pixel by pixel.
@@ -45,7 +54,7 @@ func TestAppendRunsMatchesPixelScan(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 256} {
 		for seed := uint64(0); seed < 8; seed++ {
 			im := image.RandomBinary(n, 0.3+0.05*float64(seed), seed+1)
-			bp := image.NewBitplane(im)
+			bp := packBits(im)
 			for i := 0; i < n; i++ {
 				got := AppendRuns(bp.Row(i), nil)
 				want := runsOfRow(im.Pix[i*n : (i+1)*n])
@@ -75,7 +84,7 @@ func TestAppendRunsWordSpanning(t *testing.T) {
 	}
 	set(10, 150) // spans words 0,1,2
 	set(160, 192)
-	bp := image.NewBitplane(im)
+	bp := packBits(im)
 	got := AppendRuns(bp.Row(0), nil)
 	want := []int32{10, 150, 160, 192}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -133,15 +142,14 @@ func TestLabelRunsRandom(t *testing.T) {
 	}
 }
 
-// TestRunLabelerStripComponents checks the strip component count against
-// the BFS labeler over single-strip images.
-func TestRunLabelerStripComponents(t *testing.T) {
+// TestBandLabelerStripComponents checks the slab component count against
+// the BFS labeler over single-slab images.
+func TestBandLabelerStripComponents(t *testing.T) {
 	for _, n := range []int{8, 33, 64} {
 		im := image.RandomBinary(n, 0.5, uint64(n))
-		bp := image.NewBitplane(im)
 		out := image.NewLabels(n)
-		var rl RunLabeler
-		comps := rl.LabelStrip(bp, 0, n, image.Conn8, true, out.Lab)
+		var bl BandLabeler
+		comps := bl.Label(im.Pix, n, n, image.Conn8, Binary, out.Lab)
 		want := LabelBFS(im, image.Conn8, Binary)
 		if wc := want.Components(); comps != wc {
 			t.Fatalf("n=%d: %d components, want %d", n, comps, wc)
@@ -149,21 +157,58 @@ func TestRunLabelerStripComponents(t *testing.T) {
 	}
 }
 
-// TestRunLabelerClearPaintsGaps checks that clear=true zeroes stale
-// background without a separate clear pass.
-func TestRunLabelerClearPaintsGaps(t *testing.T) {
-	im := image.RandomBinary(40, 0.5, 11)
-	bp := image.NewBitplane(im)
-	out := image.NewLabels(40)
-	for i := range out.Lab {
-		out.Lab[i] = 0xdeadbeef
+// TestLabelAtClearsGaps checks that LabelAt zeroes stale background
+// without a separate clear pass and lifts every label by the base: a
+// lower strip of an image, labeled with base r0*n, carries the global
+// row-major seeds a BFS of the strip assigns, in both modes.
+func TestLabelAtClearsGaps(t *testing.T) {
+	const n, r0, r1 = 40, 13, 31
+	for _, c := range []struct {
+		mode Mode
+		im   *image.Image
+	}{
+		{Binary, image.RandomBinary(n, 0.5, 11)},
+		{Grey, image.RandomGrey(n, 3, 11)},
+	} {
+		pix := c.im.Pix[r0*n : r1*n]
+		want := make([]uint32, len(pix))
+		wantComps, _ := TileLabeler(pix, r1-r0, n, image.Conn4, c.mode,
+			func(i, j int) uint32 { return uint32((r0+i)*n+j) + 1 }, want, nil)
+		lab := make([]uint32, len(pix))
+		for i := range lab {
+			lab[i] = 0xdeadbeef
+		}
+		var bl BandLabeler
+		if comps := bl.LabelAt(pix, r1-r0, n, r0*n, image.Conn4, c.mode, lab); comps != wantComps {
+			t.Errorf("%v: %d components, want %d", c.mode, comps, wantComps)
+		}
+		if !slices.Equal(lab, want) {
+			t.Errorf("%v: LabelAt plane differs from the lifted BFS labeling", c.mode)
+		}
 	}
-	var rl RunLabeler
-	rl.LabelStrip(bp, 0, 40, image.Conn4, true, out.Lab)
-	want := LabelBFS(im, image.Conn4, Binary)
-	for i := range want.Lab {
-		if out.Lab[i] != want.Lab[i] {
-			t.Fatalf("pixel %d: got %d, want %d", i, out.Lab[i], want.Lab[i])
+}
+
+// TestLabelAtStoppedPaintsNothing checks that a scan cut short by the stop
+// flag leaves the label plane untouched and reports no components.
+func TestLabelAtStoppedPaintsNothing(t *testing.T) {
+	const n = 32
+	var stop atomic.Bool
+	stop.Store(true)
+	for _, mode := range []Mode{Binary, Grey} {
+		im := image.RandomGrey(n, 3, 2)
+		lab := make([]uint32, n*n)
+		for i := range lab {
+			lab[i] = 7
+		}
+		var bl BandLabeler
+		bl.SetStop(&stop)
+		if comps := bl.LabelAt(im.Pix, n, n, 5, image.Conn8, mode, lab); comps != 0 {
+			t.Errorf("%v: stopped LabelAt reported %d components", mode, comps)
+		}
+		for i, v := range lab {
+			if v != 7 {
+				t.Fatalf("%v: stopped LabelAt painted pixel %d", mode, i)
+			}
 		}
 	}
 }
@@ -172,13 +217,12 @@ func BenchmarkLabelRuns(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		im := image.Generate(image.DualSpiral, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			bp := image.NewBitplane(im)
 			out := image.NewLabels(n)
-			var rl RunLabeler
+			var bl BandLabeler
 			b.SetBytes(int64(n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rl.LabelStrip(bp, 0, n, image.Conn8, true, out.Lab)
+				bl.Label(im.Pix, n, n, image.Conn8, Binary, out.Lab)
 			}
 		})
 	}

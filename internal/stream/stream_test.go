@@ -177,8 +177,8 @@ func TestStreamAgreesWithParEngine(t *testing.T) {
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
 	refLab, comps := residentLabels(im.Pix, im.N, im.N, image.Conn8, seq.Binary)
 	want := renderDense(refLab, im.N, im.N, comps)
-	got, err := par.NewEngine(4).LabelErr(im, image.Conn8, seq.Binary)
-	if err != nil {
+	got := image.NewLabels(im.N)
+	if _, err := par.NewEngine(4).LabelIntoContext(nil, im, image.Conn8, seq.Binary, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Components() != comps {
@@ -193,6 +193,62 @@ func TestStreamAgreesWithParEngine(t *testing.T) {
 	}
 	if !bytes.Equal(streamed, want) {
 		t.Errorf("stream rendering differs from resident reference")
+	}
+}
+
+// TestStreamSharesResidentSeam pins that the resident engine and the
+// streaming pipeline merge slabs through one seam: with W strips and bands
+// of n/W rows the two drivers cut the image at the same rows, label each
+// slab with the same labeler and extract its boundary with the same
+// AppendBoundaryEdges walk, so their boundary counters — raw adjacent
+// pairs, deduplicated edges and resolved links — must agree exactly, over
+// catalog patterns, random binary and grey images, and both
+// connectivities.
+func TestStreamSharesResidentSeam(t *testing.T) {
+	const n = 48
+	type tc struct {
+		name string
+		im   *image.Image
+		mode seq.Mode
+	}
+	var cases []tc
+	for _, id := range image.AllPatterns() {
+		cases = append(cases, tc{id.String(), image.Generate(id, n), seq.Binary})
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		cases = append(cases,
+			tc{fmt.Sprintf("random-binary-%d", seed), image.RandomBinary(n, 0.5, seed), seq.Binary},
+			tc{fmt.Sprintf("random-grey-%d", seed), image.RandomGrey(n, 3, seed), seq.Grey})
+	}
+	counters := []obs.Counter{obs.CtrBorderPairs, obs.CtrBorderEdges, obs.CtrBorderLinks}
+	var edges int64
+	for _, c := range cases {
+		pgm := encodePGM(c.im.Pix, n, n, 255)
+		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+			for _, W := range []int{2, 3, 4} {
+				name := fmt.Sprintf("%s/%v/W=%d", c.name, conn, W)
+				resident := obs.NewRecorder()
+				e := par.NewEngine(W)
+				e.SetObserver(resident)
+				if _, err := e.LabelIntoContext(nil, c.im, conn, c.mode, image.NewLabels(n)); err != nil {
+					t.Fatalf("%s: resident: %v", name, err)
+				}
+				streamed := obs.NewRecorder()
+				if _, err := Label(bytes.NewReader(pgm), nil,
+					Options{Conn: conn, Mode: c.mode, BandRows: n / W, Obs: streamed}); err != nil {
+					t.Fatalf("%s: stream: %v", name, err)
+				}
+				for _, ctr := range counters {
+					if r, s := resident.Counter(ctr), streamed.Counter(ctr); r != s {
+						t.Errorf("%s: %v resident %d, stream %d", name, ctr, r, s)
+					}
+				}
+				edges += resident.Counter(obs.CtrBorderEdges)
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no case crossed a seam; the comparison is vacuous")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,7 +32,9 @@ func TestParMetricsPhasesCoverTotal(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		rec.Reset()
 		start := time.Now()
-		eng.LabelInto(im, parimg.Conn8, parimg.Binary, out)
+		if _, err := eng.LabelIntoContext(nil, im, parimg.Conn8, parimg.Binary, out); err != nil {
+			t.Fatal(err)
+		}
 		total := time.Since(start).Nanoseconds()
 		m := rec.Snapshot()
 		m.TotalNS = total
@@ -186,38 +189,57 @@ func runImgcc(t *testing.T, args ...string) {
 	}
 }
 
-// TestMetricsOnFailedRuns pins that a failed imgcc run still leaves a
-// diagnosable record: a host-parallel run whose -timeout expires and a
-// -stream -out run whose labels overflow the 16-bit PGM each exit nonzero
-// yet write a schema-valid -metrics document carrying the abort reason,
-// while the stream run leaves no partial -out or -census-json behind.
+// TestMetricsOnFailedRuns pins that a failed imgcc or imghist run still
+// leaves a diagnosable record: host-parallel and simulator runs whose
+// -timeout expires, a sequential histogram that meets a grey level >= k,
+// and a -stream -out run whose labels overflow the 16-bit PGM each exit
+// nonzero yet write a schema-valid -metrics document carrying the abort
+// reason, while the stream run leaves no partial -out or -census-json
+// behind.
 func TestMetricsOnFailedRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds cmd/imgcc; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "imgcc")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/imgcc").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/imgcc: %v\n%s", err, out)
+	build := func(name string) string {
+		bin := filepath.Join(dir, name)
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		}
+		return bin
 	}
-	requireFailedWithMetrics := func(path string, args ...string) {
+	imgcc, imghist := build("imgcc"), build("imghist")
+	requireFailedWithMetrics := func(bin, path string, args ...string) {
 		t.Helper()
+		name := filepath.Base(bin)
 		cmd := exec.Command(bin, append(args, "-metrics", path)...)
 		if out, err := cmd.CombinedOutput(); err == nil {
-			t.Fatalf("imgcc %v succeeded, want a failure:\n%s", args, out)
+			t.Fatalf("%s %v succeeded, want a failure:\n%s", name, args, out)
 		}
 		m, err := obs.ReadFile(path) // validates on read
 		if err != nil {
-			t.Fatalf("imgcc %v: no valid metrics document: %v", args, err)
+			t.Fatalf("%s %v: no valid metrics document: %v", name, args, err)
 		}
 		if m.Aborted == "" {
-			t.Errorf("imgcc %v: metrics document has no aborted reason: %+v", args, m)
+			t.Errorf("%s %v: metrics document has no aborted reason: %+v", name, args, m)
 		}
 	}
 
-	requireFailedWithMetrics(filepath.Join(dir, "par.json"),
+	requireFailedWithMetrics(imgcc, filepath.Join(dir, "par.json"),
 		"-pattern", "dual-spiral", "-n", "256", "-backend", "par", "-workers", "2",
 		"-timeout", "1ns", "-top", "0")
+	requireFailedWithMetrics(imgcc, filepath.Join(dir, "sim.json"),
+		"-pattern", "dual-spiral", "-n", "256", "-backend", "sim", "-p", "4",
+		"-timeout", "1ns", "-top", "0")
+	requireFailedWithMetrics(imghist, filepath.Join(dir, "hist-par.json"),
+		"-darpa", "-k", "256", "-backend", "par", "-workers", "2", "-timeout", "1ns", "-quiet")
+	requireFailedWithMetrics(imghist, filepath.Join(dir, "hist-seq.json"),
+		"-darpa", "-k", "2", "-backend", "seq", "-quiet")
+	// A bucket count below 1 is a typed input error, not a make() panic.
+	if out, err := exec.Command(imghist, "-k", "-1", "-backend", "par").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "at least 1 bucket") {
+		t.Errorf("imghist -k -1: err %v, output %q; want a bucket-count error", err, out)
+	}
 
 	// An n x n checkerboard under 4-connectivity has n*n/2 isolated
 	// components: at n = 400, 80000 > 65535, so the census succeeds and the
@@ -234,7 +256,7 @@ func TestMetricsOnFailedRuns(t *testing.T) {
 	}
 	out := filepath.Join(dir, "labels.pgm")
 	census := filepath.Join(dir, "census.json")
-	requireFailedWithMetrics(filepath.Join(dir, "stream.json"),
+	requireFailedWithMetrics(imgcc, filepath.Join(dir, "stream.json"),
 		"-stream", "-in", in, "-band-rows", "64", "-conn", "4", "-top", "0",
 		"-out", out, "-census-json", census)
 	for _, p := range []string{out, out + atomicio.PartialSuffix, census, census + atomicio.PartialSuffix} {

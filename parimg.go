@@ -230,7 +230,7 @@ func RandomGreyErr(n, k int, seed uint64) (*Image, error) {
 }
 
 // NewLabels returns a zeroed labeling for an n x n image, for use with
-// ParallelEngine.LabelInto.
+// ParallelEngine.LabelIntoContext.
 func NewLabels(n int) *Labels { return image.NewLabels(n) }
 
 // DARPAImage returns the synthetic 512 x 512, 256 grey-level stand-in for
@@ -643,7 +643,7 @@ func LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*Labels, er
 // Unlike Simulator.Histogram, k needs not be a power of two. Safe for
 // concurrent use.
 func HistogramParallel(im *Image, k int) ([]int64, error) {
-	return par.Histogram(im, k)
+	return par.HistogramContext(nil, im, k)
 }
 
 // HistogramContext is HistogramParallel bounded by ctx; see LabelContext for

@@ -37,14 +37,17 @@ func TestPublicParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPublicParallelEngineReuse drives the pinned-engine API through
-// LabelInto across sizes, verifying component counts against the labeling.
+// LabelIntoContext across sizes, verifying component counts against the labeling.
 func TestPublicParallelEngineReuse(t *testing.T) {
 	eng := NewParallelEngine(4)
 	for i, n := range []int{32, 96, 64} {
 		im := RandomBinary(n, 0.6, uint64(i+1))
 		want := LabelSequential(im, Conn8, Binary)
 		out := NewLabels(n)
-		ncomp := eng.LabelInto(im, Conn8, Binary, out)
+		ncomp, err := eng.LabelIntoContext(nil, im, Conn8, Binary, out)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ncomp != want.Components() {
 			t.Fatalf("n=%d: components = %d, want %d", n, ncomp, want.Components())
 		}
