@@ -97,6 +97,7 @@ examples:
 	$(GO) run ./examples/isingclusters
 	$(GO) run ./examples/objects
 	$(GO) run ./examples/segmentation
+	$(GO) run ./examples/equalization
 
 clean:
 	$(GO) clean ./...

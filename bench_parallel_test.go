@@ -20,7 +20,7 @@ import (
 // BenchmarkSequentialCC is the BFS baseline of the BENCH_runs.json matrix.
 func BenchmarkParallelCC(b *testing.B) {
 	for _, n := range []int{512, 1024} {
-		im := GeneratePattern(DualSpiral, n)
+		im := must(GeneratePattern(DualSpiral, n))
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 				e := NewParallelEngine(w)
@@ -41,7 +41,7 @@ func BenchmarkParallelCC(b *testing.B) {
 // (k=256) against the single-worker anchor.
 func BenchmarkParallelHistogram(b *testing.B) {
 	for _, n := range []int{512, 1024} {
-		im := RandomGrey(n, 256, uint64(n))
+		im := must(RandomGrey(n, 256, uint64(n)))
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 				e := NewParallelEngine(w)
@@ -62,11 +62,11 @@ func BenchmarkParallelHistogram(b *testing.B) {
 // benchmarks' speedups.
 func BenchmarkSequentialCC(b *testing.B) {
 	for _, n := range []int{512, 1024} {
-		im := GeneratePattern(DualSpiral, n)
+		im := must(GeneratePattern(DualSpiral, n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
-				LabelSequential(im, Conn8, Binary)
+				must(LabelSequential(im, Conn8, Binary))
 			}
 		})
 	}
@@ -77,18 +77,18 @@ func BenchmarkSequentialCC(b *testing.B) {
 // the sync.Pool scratch arena make every run after the first reuse the ~15
 // spread arrays and all per-processor scratch.
 func BenchmarkRepeatedLabel(b *testing.B) {
-	im := GeneratePattern(DualSpiral, 256)
+	im := must(GeneratePattern(DualSpiral, 256))
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.Label(im, LabelOptions{}); err != nil {
+	if _, err := sim.Label(nil, im, LabelOptions{}); err != nil {
 		b.Fatal(err) // warm the arena
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Label(im, LabelOptions{}); err != nil {
+		if _, err := sim.Label(nil, im, LabelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,18 +97,18 @@ func BenchmarkRepeatedLabel(b *testing.B) {
 // BenchmarkRepeatedHistogram is the histogramming analogue of
 // BenchmarkRepeatedLabel.
 func BenchmarkRepeatedHistogram(b *testing.B) {
-	im := RandomGrey(256, 256, 5)
+	im := must(RandomGrey(256, 256, 5))
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.Histogram(im, 256); err != nil {
+	if _, err := sim.Histogram(nil, im, 256); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Histogram(im, 256); err != nil {
+		if _, err := sim.Histogram(nil, im, 256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,11 +27,11 @@ import (
 func requireSimCleanAfterFault(t *testing.T, sim *Simulator, im *Image) {
 	t.Helper()
 	sim.m.SetFaultInjector(nil)
-	res, err := sim.Label(im, LabelOptions{})
+	res, err := sim.Label(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatalf("clean sim run after fault: %v", err)
 	}
-	want := LabelSequential(im, Conn8, Binary)
+	want := must(LabelSequential(im, Conn8, Binary))
 	for i := range want.Lab {
 		if res.Labels.Lab[i] != want.Lab[i] {
 			t.Fatalf("pixel %d: sim label %d, want %d after aborted run", i, res.Labels.Lab[i], want.Lab[i])
@@ -43,11 +43,11 @@ func requireSimCleanAfterFault(t *testing.T, sim *Simulator, im *Image) {
 func requireParCleanAfterFault(t *testing.T, eng *ParallelEngine, im *Image) {
 	t.Helper()
 	eng.SetFaultInjector(nil)
-	got, err := LabelParallelErr(im, LabelOptions{})
+	got, err := LabelParallel(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatalf("clean par run after fault: %v", err)
 	}
-	want := LabelSequential(im, Conn8, Binary)
+	want := must(LabelSequential(im, Conn8, Binary))
 	for i := range want.Lab {
 		if got.Lab[i] != want.Lab[i] {
 			t.Fatalf("pixel %d: par label %d, want %d after aborted run", i, got.Lab[i], want.Lab[i])
@@ -57,7 +57,7 @@ func requireParCleanAfterFault(t *testing.T, eng *ParallelEngine, im *Image) {
 
 func TestChaosMatrixSimulator(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 	sim, err := NewSimulator(4, CM5)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 
 	t.Run("panic", func(t *testing.T) {
 		sim.m.SetFaultInjector(fault.New(1, fault.Panic, 1).At("sync").OnRank(1))
-		_, err := sim.Label(im, LabelOptions{})
+		_, err := sim.Label(nil, im, LabelOptions{})
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("err = %v, want ErrAborted", err)
 		}
@@ -83,7 +83,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		in := fault.New(1, fault.Delay, 1).At("sync").OnRank(0).OnRound(1).
 			WithDelay(2 * time.Millisecond)
 		sim.m.SetFaultInjector(in)
-		res, err := sim.Label(im, LabelOptions{})
+		res, err := sim.Label(nil, im, LabelOptions{})
 		sim.m.SetFaultInjector(nil)
 		if err != nil {
 			t.Fatalf("delay fault must not fail the run: %v", err)
@@ -91,7 +91,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		if in.Injections() == 0 {
 			t.Error("delay fault never fired")
 		}
-		want := LabelSequential(im, Conn8, Binary)
+		want := must(LabelSequential(im, Conn8, Binary))
 		for i := range want.Lab {
 			if res.Labels.Lab[i] != want.Lab[i] {
 				t.Fatalf("pixel %d differs under delay fault", i)
@@ -106,7 +106,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		sim.SetWatchdog(50 * time.Millisecond)
 		defer sim.SetWatchdog(0)
 		sim.m.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("barrier").OnRank(2))
-		_, err := sim.Label(im, LabelOptions{})
+		_, err := sim.Label(nil, im, LabelOptions{})
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline from the watchdog", err)
 		}
@@ -122,7 +122,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		timer := time.AfterFunc(5*time.Millisecond, cancel)
 		defer timer.Stop()
 		defer cancel()
-		_, err := sim.LabelContext(ctx, im, LabelOptions{})
+		_, err := sim.Label(ctx, im, LabelOptions{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -137,7 +137,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 			At("sync").OnRank(0).OnRound(1).WithDelay(50 * time.Millisecond))
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		defer cancel()
-		_, err := sim.LabelContext(ctx, im, LabelOptions{})
+		_, err := sim.Label(ctx, im, LabelOptions{})
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
@@ -151,7 +151,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 
 func TestChaosMatrixParallel(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 
 	t.Run("panic", func(t *testing.T) {
 		eng := NewParallelEngine(4)
@@ -180,7 +180,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 		if in.Injections() == 0 {
 			t.Error("delay fault never fired")
 		}
-		want := LabelSequential(im, Conn8, Binary)
+		want := must(LabelSequential(im, Conn8, Binary))
 		for i := range want.Lab {
 			if out.Lab[i] != want.Lab[i] {
 				t.Fatalf("pixel %d differs under delay fault", i)
@@ -244,8 +244,8 @@ func TestChaosMatrixParallel(t *testing.T) {
 // one request, never the process or the pool.
 func TestChaosMatrixServer(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
-	want := LabelSequential(im, Conn8, Binary)
+	im := must(GeneratePattern(DualSpiral, 64))
+	want := must(LabelSequential(im, Conn8, Binary))
 	// One runner, two strip workers (the fault sites only exist on
 	// multi-worker engines), oversubscribed so the config passes the core
 	// budget policy on any host.
@@ -340,7 +340,7 @@ func TestChaosMatrixServer(t *testing.T) {
 // resumed output compared byte for byte against an uninterrupted run.
 func TestChaosMatrixStream(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 	var pgm bytes.Buffer
 	fmt.Fprintf(&pgm, "P5\n%d %d\n255\n", im.N, im.N)
 	for _, v := range im.Pix {
@@ -425,33 +425,29 @@ func TestChaosMatrixStream(t *testing.T) {
 	})
 }
 
-// TestLabelContextThroughPublicAPI exercises the package-level context entry
-// points end to end: pre-canceled contexts must fail fast with ErrCanceled
-// on both backends, without running any labeling work.
+// TestLabelContextThroughPublicAPI exercises the context-first entry points
+// end to end: pre-canceled contexts must fail fast with ErrCanceled on both
+// backends, without running any labeling work.
 func TestLabelContextThroughPublicAPI(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(Cross, 64)
+	im := must(GeneratePattern(Cross, 64))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LabelContext(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("LabelContext: err = %v, want ErrCanceled", err)
+	if _, err := LabelParallel(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("LabelParallel: err = %v, want ErrCanceled", err)
 	}
-	if _, err := HistogramContext(ctx, RandomGrey(64, 16, 1), 16); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("HistogramContext: err = %v, want ErrCanceled", err)
+	if _, err := HistogramParallel(ctx, must(RandomGrey(64, 16, 1)), 16); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("HistogramParallel: err = %v, want ErrCanceled", err)
 	}
 	sim, err := NewSimulator(4, CM5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	if _, err := sim.LabelContext(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Simulator.LabelContext: err = %v, want ErrCanceled", err)
+	if _, err := sim.Label(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Simulator.Label: err = %v, want ErrCanceled", err)
 	}
-	if _, err := sim.HistogramContext(ctx, RandomGrey(64, 16, 1), 16); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Simulator.HistogramContext: err = %v, want ErrCanceled", err)
-	}
-	// LabelOptions.Context is the same contract spelled as an option.
-	if _, err := LabelParallelErr(im, LabelOptions{Context: ctx}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("LabelParallelErr with canceled Context: err = %v, want ErrCanceled", err)
+	if _, err := sim.Histogram(ctx, must(RandomGrey(64, 16, 1)), 16); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Simulator.Histogram: err = %v, want ErrCanceled", err)
 	}
 }

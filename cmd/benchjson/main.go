@@ -81,7 +81,11 @@ func run() error {
 	var inputs []input
 	for _, n := range []int{512, 1024} {
 		for _, id := range parimg.AllPatterns() {
-			inputs = append(inputs, input{id.String(), parimg.GeneratePattern(id, n)})
+			im, err := parimg.GeneratePattern(id, n)
+			if err != nil {
+				return err
+			}
+			inputs = append(inputs, input{id.String(), im})
 		}
 	}
 	inputs = append(inputs, input{"darpa", parimg.DARPAImage()})
@@ -108,7 +112,10 @@ func run() error {
 			}
 			n := in.im.N
 			pix := float64(n * n)
-			want := parimg.LabelSequential(in.im, parimg.Conn8, mode)
+			want, err := parimg.LabelSequential(in.im, parimg.Conn8, mode)
+			if err != nil {
+				return err
+			}
 
 			record := func(backend, algo, merge string, w int, ns int64, got *parimg.Labels, comps int) {
 				agree := true
@@ -133,7 +140,11 @@ func run() error {
 			var seqNS int64
 			{
 				var l *parimg.Labels
-				seqNS = best(*minTime, func() { l = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
+				var seqErr error
+				seqNS = best(*minTime, func() { l, seqErr = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
+				if seqErr != nil {
+					return seqErr
+				}
 				copy(seqOut.Lab, l.Lab)
 				record("seq", "bfs", "", 1, seqNS, seqOut, seqOut.Components())
 			}

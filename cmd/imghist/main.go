@@ -85,7 +85,7 @@ func run() error {
 		sim.SetObserver(rec)
 	}
 	start := time.Now()
-	res, err := sim.HistogramContext(ctx, im, *k)
+	res, err := sim.Histogram(ctx, im, *k)
 	fill := func(m *parimg.Metrics) {
 		m.Command, m.Backend, m.Machine = "imghist", "sim", spec.Name
 		m.Procs, m.Image, m.N, m.K = *p, imageName, im.N, *k
@@ -187,15 +187,15 @@ func loadImage(pattern string, density float64, grey, darpa bool, inFile string,
 	case pattern != "":
 		for _, id := range parimg.AllPatterns() {
 			if id.String() == pattern {
-				return parimg.GeneratePatternErr(id, n)
+				return parimg.GeneratePattern(id, n)
 			}
 		}
 		return nil, fmt.Errorf("unknown pattern %q (try dual-spiral, filled-disc, cross, ...)", pattern)
 	case density >= 0:
-		return parimg.RandomBinaryErr(n, density, seed)
+		return parimg.RandomBinary(n, density, seed)
 	case grey:
-		return parimg.RandomGreyErr(n, k, seed)
+		return parimg.RandomGrey(n, k, seed)
 	default:
-		return parimg.RandomGreyErr(n, k, seed)
+		return parimg.RandomGrey(n, k, seed)
 	}
 }

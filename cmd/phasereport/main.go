@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,7 +76,11 @@ type input struct {
 func inputs(n int) []input {
 	var ins []input
 	for _, id := range parimg.AllPatterns() {
-		ins = append(ins, input{id.String(), parimg.GeneratePattern(id, n), parimg.Binary})
+		im, err := parimg.GeneratePattern(id, n)
+		if err != nil {
+			fatal(err)
+		}
+		ins = append(ins, input{id.String(), im, parimg.Binary})
 	}
 	ins = append(ins, input{"darpa", parimg.DARPAImage(), parimg.Grey})
 	return ins
@@ -150,7 +155,7 @@ func simMetrics(spec parimg.MachineSpec, p int, in input) *parimg.Metrics {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	res, err := sim.Label(in.im, parimg.LabelOptions{Conn: parimg.Conn8, Mode: in.mode})
+	res, err := sim.Label(context.Background(), in.im, parimg.LabelOptions{Conn: parimg.Conn8, Mode: in.mode})
 	if err != nil {
 		fatal(err)
 	}
@@ -167,7 +172,7 @@ func parMetrics(in input, W int) *parimg.Metrics {
 	eng.SetObserver(rec)
 	labels := parimg.NewLabels(in.im.N)
 	start := time.Now()
-	_, err := eng.LabelIntoContext(nil, in.im, parimg.Conn8, in.mode, labels)
+	_, err := eng.LabelIntoContext(context.Background(), in.im, parimg.Conn8, in.mode, labels)
 	elapsed := time.Since(start)
 	if err != nil {
 		fatal(err)

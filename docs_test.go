@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,55 @@ func receiverName(d *ast.FuncDecl) string {
 func receiverExported(d *ast.FuncDecl) bool {
 	name := receiverName(d)
 	return name == "" || ast.IsExported(name)
+}
+
+// publicAPI is the root package's exported functions and methods: one
+// entry point per operation. A name added here needs a reason no existing
+// entry point covers — a panicking, …Err or …Context twin of an existing
+// call is not one.
+var publicAPI = []string{
+	"AllPatterns", "Census", "ClassifyObjects", "DARPAImage", "Equalize",
+	"GeneratePattern", "HistogramParallel", "HistogramSequential",
+	"LabelParallel", "LabelSequential", "MachineByName", "Machines",
+	"NewImage", "NewLabels", "NewMetricsRecorder", "NewParallelEngine",
+	"NewSimulator", "OtsuThreshold", "RandomBinary", "RandomGrey", "ReadPGM",
+	"Simulator.Census", "Simulator.Close", "Simulator.Equalize",
+	"Simulator.Histogram", "Simulator.Label", "Simulator.LabelByPointerJumping",
+	"Simulator.LabelByPropagation", "Simulator.Observer", "Simulator.P",
+	"Simulator.SetObserver", "Simulator.SetWatchdog", "Threshold", "WritePGM",
+}
+
+// TestPublicAPISurface pins the root package's exported functions and
+// methods to publicAPI, so a second spelling of an operation cannot land
+// unnoticed.
+func TestPublicAPISurface(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || !d.Name.IsExported() || !receiverExported(d) {
+					continue
+				}
+				name := d.Name.Name
+				if r := receiverName(d); r != "" {
+					name = r + "." + name
+				}
+				got = append(got, name)
+			}
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(publicAPI, "\n") {
+		t.Errorf("exported functions and methods (%d):\n%s\nwant (%d):\n%s",
+			len(got), strings.Join(got, "\n"), len(publicAPI), strings.Join(publicAPI, "\n"))
+	}
 }
 
 // TestMarkdownLinks checks every relative link target in the repo's main

@@ -22,29 +22,29 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"p zero", newSim(0), ErrGeometry},
 		{"p negative", newSim(-8), ErrGeometry},
 		{"p not power of two", newSim(12), ErrGeometry},
-		{"image side zero", func() error { _, err := NewImageErr(0); return err }, ErrGeometry},
-		{"image side negative", func() error { _, err := NewImageErr(-4); return err }, ErrGeometry},
-		{"image side overflow", func() error { _, err := NewImageErr(MaxSide + 1); return err }, ErrLabelOverflow},
-		{"pattern unknown", func() error { _, err := GeneratePatternErr(PatternID(42), 64); return err }, ErrBadInput},
-		{"random density over 1", func() error { _, err := RandomBinaryErr(64, 1.01, 1); return err }, ErrBadInput},
-		{"random grey k under 2", func() error { _, err := RandomGreyErr(64, 1, 1); return err }, ErrGreyRange},
+		{"image side zero", func() error { _, err := NewImage(0); return err }, ErrGeometry},
+		{"image side negative", func() error { _, err := NewImage(-4); return err }, ErrGeometry},
+		{"image side overflow", func() error { _, err := NewImage(MaxSide + 1); return err }, ErrLabelOverflow},
+		{"pattern unknown", func() error { _, err := GeneratePattern(PatternID(42), 64); return err }, ErrBadInput},
+		{"random density over 1", func() error { _, err := RandomBinary(64, 1.01, 1); return err }, ErrBadInput},
+		{"random grey k under 2", func() error { _, err := RandomGrey(64, 1, 1); return err }, ErrGreyRange},
 		{"sequential hist k zero", func() error { _, err := HistogramSequential(GenCrossImage(32), 0); return err }, ErrGreyRange},
-		{"sequential hist grey over k", func() error { _, err := HistogramSequential(RandomGrey(32, 16, 1), 4); return err }, ErrGreyRange},
-		{"parallel hist k zero", func() error { _, err := HistogramParallel(GenCrossImage(32), 0); return err }, ErrGreyRange},
-		{"parallel hist nil image", func() error { _, err := HistogramParallel(nil, 8); return err }, ErrBadInput},
+		{"sequential hist grey over k", func() error { _, err := HistogramSequential(must(RandomGrey(32, 16, 1)), 4); return err }, ErrGreyRange},
+		{"parallel hist k zero", func() error { _, err := HistogramParallel(nil, GenCrossImage(32), 0); return err }, ErrGreyRange},
+		{"parallel hist nil image", func() error { _, err := HistogramParallel(nil, nil, 8); return err }, ErrBadInput},
 		{"non-square PGM", func() error { _, err := ReadPGM(strings.NewReader("P5\n2 3\n255\n......")); return err }, ErrGeometry},
 		{"zero-side PGM", func() error { _, err := ReadPGM(strings.NewReader("P5\n0 0\n255\n")); return err }, ErrGeometry},
 		{"truncated PGM", func() error { _, err := ReadPGM(strings.NewReader("P5\n4 4\n255\nxy")); return err }, ErrBadInput},
 		{"oversized PGM header", func() error { _, err := ReadPGM(strings.NewReader("P5\n999999 999999\n255\n")); return err }, ErrLabelOverflow},
-		{"census mismatched sides", func() error { _, err := CensusErr(NewLabels(8), GenCrossImage(16)); return err }, ErrGeometry},
-		{"threshold malformed image", func() error { _, err := ThresholdErr(&Image{N: 4, Pix: nil}, 1); return err }, ErrGeometry},
-		{"seq oversized image", func() error { _, err := LabelSequentialErr(oversized, Conn8, Binary); return err }, ErrLabelOverflow},
-		{"par oversized image", func() error { _, err := LabelParallelErr(oversized, LabelOptions{}); return err }, ErrLabelOverflow},
+		{"census mismatched sides", func() error { _, err := Census(NewLabels(8), GenCrossImage(16)); return err }, ErrGeometry},
+		{"threshold malformed image", func() error { _, err := Threshold(&Image{N: 4, Pix: nil}, 1); return err }, ErrGeometry},
+		{"seq oversized image", func() error { _, err := LabelSequential(oversized, Conn8, Binary); return err }, ErrLabelOverflow},
+		{"par oversized image", func() error { _, err := LabelParallel(nil, oversized, LabelOptions{}); return err }, ErrLabelOverflow},
 		{"par bad connectivity", func() error {
-			_, err := LabelParallelErr(GenCrossImage(16), LabelOptions{Conn: Connectivity(5)})
+			_, err := LabelParallel(nil, GenCrossImage(16), LabelOptions{Conn: Connectivity(5)})
 			return err
 		}, ErrBadInput},
-		{"par bad mode", func() error { _, err := LabelParallelErr(GenCrossImage(16), LabelOptions{Mode: Mode(7)}); return err }, ErrBadInput},
+		{"par bad mode", func() error { _, err := LabelParallel(nil, GenCrossImage(16), LabelOptions{Mode: Mode(7)}); return err }, ErrBadInput},
 	}
 	cases = append(cases, simCases(t, oversized)...)
 	for _, c := range cases {
@@ -78,10 +78,13 @@ func simCases(t *testing.T, oversized *Image) []struct {
 		fn   func() error
 		kind error
 	}{
-		{"sim oversized image", func() error { _, err := sim.Label(oversized, LabelOptions{}); return err }, ErrLabelOverflow},
-		{"sim bad connectivity", func() error { _, err := sim.Label(GenCrossImage(16), LabelOptions{Conn: Connectivity(5)}); return err }, ErrBadInput},
-		{"sim hist k not power of two", func() error { _, err := sim.Histogram(GenCrossImage(16), 3); return err }, ErrGreyRange},
-		{"sim hist grey over k", func() error { _, err := sim.Histogram(RandomGrey(16, 16, 1), 4); return err }, ErrGreyRange},
+		{"sim oversized image", func() error { _, err := sim.Label(nil, oversized, LabelOptions{}); return err }, ErrLabelOverflow},
+		{"sim bad connectivity", func() error {
+			_, err := sim.Label(nil, GenCrossImage(16), LabelOptions{Conn: Connectivity(5)})
+			return err
+		}, ErrBadInput},
+		{"sim hist k not power of two", func() error { _, err := sim.Histogram(nil, GenCrossImage(16), 3); return err }, ErrGreyRange},
+		{"sim hist grey over k", func() error { _, err := sim.Histogram(nil, must(RandomGrey(16, 16, 1)), 4); return err }, ErrGreyRange},
 		{"sim equalize bad k", func() error { _, err := sim.Equalize(GenCrossImage(16), 0); return err }, ErrGreyRange},
 		{"sim census mismatch", func() error { _, err := sim.Census(GenCrossImage(16), NewLabels(8)); return err }, ErrGeometry},
 	}
@@ -89,7 +92,7 @@ func simCases(t *testing.T, oversized *Image) []struct {
 
 // GenCrossImage is a tiny helper for the error tables: a valid cross
 // pattern at side n.
-func GenCrossImage(n int) *Image { return GeneratePattern(Cross, n) }
+func GenCrossImage(n int) *Image { return must(GeneratePattern(Cross, n)) }
 
 // TestInputErrorContext asserts the concrete *InputError is retrievable
 // with errors.As and carries the offending parameters.
@@ -102,7 +105,7 @@ func TestInputErrorContext(t *testing.T) {
 	if ie.P != 12 {
 		t.Errorf("InputError.P = %d, want 12", ie.P)
 	}
-	_, err = LabelParallelErr(&Image{N: MaxSide + 1}, LabelOptions{})
+	_, err = LabelParallel(nil, &Image{N: MaxSide + 1}, LabelOptions{})
 	if !errors.As(err, &ie) {
 		t.Fatalf("error %v does not unwrap to *InputError", err)
 	}
@@ -127,9 +130,9 @@ func TestCommentPGMAccepted(t *testing.T) {
 // after all the validation work, valid inputs still produce results that
 // are pixel-identical across backends.
 func TestValidInputsStillExact(t *testing.T) {
-	im := GeneratePattern(DualSpiral, 64)
-	want := LabelSequential(im, Conn8, Binary)
-	got, err := LabelParallelErr(im, LabelOptions{})
+	im := must(GeneratePattern(DualSpiral, 64))
+	want := must(LabelSequential(im, Conn8, Binary))
+	got, err := LabelParallel(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestValidInputsStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Label(im, LabelOptions{})
+	res, err := sim.Label(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,11 +28,12 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	sim, err := parimg.NewSimulator(32, parimg.SP2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Histogram(im, k)
+	res, err := sim.Histogram(ctx, im, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 
 	// Re-histogram the equalized image (parallel again) and compare
 	// spread: the occupied range should stretch across the full scale.
-	res2, err := sim.Histogram(out, k)
+	res2, err := sim.Histogram(ctx, out, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Label(im, parimg.LabelOptions{
+	res, err := sim.Label(context.Background(), im, parimg.LabelOptions{
 		Conn: parimg.Conn8,
 		Mode: parimg.Grey,
 	})

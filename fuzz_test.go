@@ -65,7 +65,7 @@ func FuzzPublicAPI(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, p, k, conn, mode, _ int, seed uint64) {
 		var im *Image
 		if n >= 1 && n <= 64 {
-			im = RandomGrey(n, 4, seed)
+			im = must(RandomGrey(n, 4, seed))
 		} else {
 			// Hostile struct: arbitrary N with no backing pixels. Every
 			// entry point must reject it, not index into it.
@@ -79,37 +79,35 @@ func FuzzPublicAPI(f *testing.F) {
 		// boundary — and never a panic or a nil-error result.
 		canceledCtx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := LabelContext(canceledCtx, im, opt); err == nil {
-			t.Fatal("LabelContext accepted a pre-canceled context")
+		if _, err := LabelParallel(canceledCtx, im, opt); err == nil {
+			t.Fatal("LabelParallel accepted a pre-canceled context")
 		} else if !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBadInput) {
-			t.Fatalf("LabelContext(canceled): error %q is outside the taxonomy", err)
+			t.Fatalf("LabelParallel(canceled): error %q is outside the taxonomy", err)
 		}
-		if _, err := HistogramContext(canceledCtx, im, k); err == nil {
-			t.Fatal("HistogramContext accepted a pre-canceled context")
+		if _, err := HistogramParallel(canceledCtx, im, k); err == nil {
+			t.Fatal("HistogramParallel accepted a pre-canceled context")
 		} else if !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBadInput) {
-			t.Fatalf("HistogramContext(canceled): error %q is outside the taxonomy", err)
+			t.Fatalf("HistogramParallel(canceled): error %q is outside the taxonomy", err)
 		}
 
-		seqLabels, seqErr := LabelSequentialErr(im, opt.Conn, opt.Mode)
-		checkTyped(t, "LabelSequentialErr", seqErr)
+		seqLabels, seqErr := LabelSequential(im, opt.Conn, opt.Mode)
+		checkTyped(t, "LabelSequential", seqErr)
 
-		parLabels, parErr := LabelParallelErr(im, opt)
-		checkTyped(t, "LabelParallelErr", parErr)
-		// Conn 0 means "default to Conn8" on the parallel path only, so
-		// error parity is asserted for explicitly-set connectivity.
-		if conn != 0 && mode == 0 {
+		parLabels, parErr := LabelParallel(nil, im, opt)
+		checkTyped(t, "LabelParallel", parErr)
+		if mode == 0 {
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("backend error disagreement: seq=%v par=%v", seqErr, parErr)
 			}
 		}
-		if seqErr == nil && parErr == nil && conn != 0 {
+		if seqErr == nil && parErr == nil {
 			comparePixels(t, "par", seqLabels, parLabels)
 		}
 
 		if _, err := HistogramSequential(im, k); err != nil {
 			checkTyped(t, "HistogramSequential", err)
 		}
-		if _, err := HistogramParallel(im, k); err != nil {
+		if _, err := HistogramParallel(nil, im, k); err != nil {
 			checkTyped(t, "HistogramParallel", err)
 		}
 
@@ -118,12 +116,12 @@ func FuzzPublicAPI(f *testing.F) {
 			checkTyped(t, "NewSimulator", err)
 			return
 		}
-		res, err := sim.Label(im, opt)
+		res, err := sim.Label(nil, im, opt)
 		checkTyped(t, "Simulator.Label", err)
-		if err == nil && seqErr == nil && conn != 0 {
+		if err == nil && seqErr == nil {
 			comparePixels(t, "sim", seqLabels, res.Labels)
 		}
-		if _, err := sim.Histogram(im, k); err != nil {
+		if _, err := sim.Histogram(nil, im, k); err != nil {
 			checkTyped(t, "Simulator.Histogram", err)
 		}
 	})
@@ -168,29 +166,29 @@ func TestNoPanic(t *testing.T) {
 	}{
 		{"ReadPGM/garbage", func() error { _, err := ReadPGM(strings.NewReader("P5\n\xff\xff")); return err }},
 		{"ReadPGM/huge header", func() error { _, err := ReadPGM(strings.NewReader("P5\n1000000 1000000\n255\n")); return err }},
-		{"NewImageErr/negative", func() error { _, err := NewImageErr(-1); return err }},
+		{"NewImage/negative", func() error { _, err := NewImage(-1); return err }},
 		{"NewSimulator/zero", func() error { _, err := NewSimulator(0, CM5); return err }},
-		{"LabelSequentialErr/oversized", func() error { _, err := LabelSequentialErr(oversized, Conn8, Binary); return err }},
-		{"LabelSequentialErr/ragged", func() error { _, err := LabelSequentialErr(ragged, Conn8, Binary); return err }},
-		{"LabelParallelErr/oversized", func() error { _, err := LabelParallelErr(oversized, LabelOptions{}); return err }},
-		{"LabelParallelErr/ragged", func() error { _, err := LabelParallelErr(ragged, LabelOptions{}); return err }},
-		{"LabelParallelErr/bad conn", func() error {
-			_, err := LabelParallelErr(GenCrossImage(8), LabelOptions{Conn: Connectivity(99)})
+		{"LabelSequential/oversized", func() error { _, err := LabelSequential(oversized, Conn8, Binary); return err }},
+		{"LabelSequential/ragged", func() error { _, err := LabelSequential(ragged, Conn8, Binary); return err }},
+		{"LabelParallel/oversized", func() error { _, err := LabelParallel(nil, oversized, LabelOptions{}); return err }},
+		{"LabelParallel/ragged", func() error { _, err := LabelParallel(nil, ragged, LabelOptions{}); return err }},
+		{"LabelParallel/bad conn", func() error {
+			_, err := LabelParallel(nil, GenCrossImage(8), LabelOptions{Conn: Connectivity(99)})
 			return err
 		}},
-		{"Simulator.Label/oversized", func() error { _, err := sim.Label(oversized, LabelOptions{}); return err }},
-		{"Simulator.Label/ragged", func() error { _, err := sim.Label(ragged, LabelOptions{}); return err }},
-		{"Simulator.Histogram/hot grey", func() error { _, err := sim.Histogram(hotGrey, 4); return err }},
+		{"Simulator.Label/oversized", func() error { _, err := sim.Label(nil, oversized, LabelOptions{}); return err }},
+		{"Simulator.Label/ragged", func() error { _, err := sim.Label(nil, ragged, LabelOptions{}); return err }},
+		{"Simulator.Histogram/hot grey", func() error { _, err := sim.Histogram(nil, hotGrey, 4); return err }},
 		{"Simulator.Equalize/bad k", func() error { _, err := sim.Equalize(GenCrossImage(8), -3); return err }},
 		{"Simulator.Census/mismatch", func() error { _, err := sim.Census(GenCrossImage(16), NewLabels(4)); return err }},
 		{"HistogramSequential/hot grey", func() error { _, err := HistogramSequential(hotGrey, 4); return err }},
-		{"HistogramParallel/hot grey", func() error { _, err := HistogramParallel(hotGrey, 4); return err }},
-		{"HistogramParallel/nil", func() error { _, err := HistogramParallel(nil, 4); return err }},
-		{"ThresholdErr/ragged", func() error { _, err := ThresholdErr(ragged, 1); return err }},
-		{"CensusErr/mismatch", func() error { _, err := CensusErr(NewLabels(4), GenCrossImage(16)); return err }},
-		{"GeneratePatternErr/unknown", func() error { _, err := GeneratePatternErr(PatternID(-1), 16); return err }},
-		{"RandomBinaryErr/NaN-ish density", func() error { _, err := RandomBinaryErr(16, -0.01, 1); return err }},
-		{"RandomGreyErr/k=1", func() error { _, err := RandomGreyErr(16, 1, 1); return err }},
+		{"HistogramParallel/hot grey", func() error { _, err := HistogramParallel(nil, hotGrey, 4); return err }},
+		{"HistogramParallel/nil", func() error { _, err := HistogramParallel(nil, nil, 4); return err }},
+		{"Threshold/ragged", func() error { _, err := Threshold(ragged, 1); return err }},
+		{"Census/mismatch", func() error { _, err := Census(NewLabels(4), GenCrossImage(16)); return err }},
+		{"GeneratePattern/unknown", func() error { _, err := GeneratePattern(PatternID(-1), 16); return err }},
+		{"RandomBinary/NaN-ish density", func() error { _, err := RandomBinary(16, -0.01, 1); return err }},
+		{"RandomGrey/k=1", func() error { _, err := RandomGrey(16, 1, 1); return err }},
 	}
 	for _, e := range entries {
 		err := func() (err error) {

@@ -44,12 +44,12 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if tval <= 0 || tval >= 256 {
 		t.Fatalf("threshold %d out of range", tval)
 	}
-	bin := Threshold(eq.Image, uint32(tval))
-	res, err := sim.Label(bin, LabelOptions{})
+	bin := must(Threshold(eq.Image, uint32(tval)))
+	res, err := sim.Label(nil, bin, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLab := LabelSequential(bin, Conn8, Binary)
+	wantLab := must(LabelSequential(bin, Conn8, Binary))
 	for i := range wantLab.Lab {
 		if res.Labels.Lab[i] != wantLab.Lab[i] {
 			t.Fatalf("labels differ at %d", i)
@@ -58,7 +58,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 
 	// Census totals must cover exactly the thresholded foreground, and
 	// the parallel census must equal the host-side one.
-	stats := Census(res.Labels, eq.Image)
+	stats := must(Census(res.Labels, eq.Image))
 	total := 0
 	for _, s := range stats {
 		total += s.Size
@@ -89,7 +89,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 // TestResultsIndependentOfMachineProfile: the machine profile changes only
 // the simulated costs, never the computed results.
 func TestResultsIndependentOfMachineProfile(t *testing.T) {
-	im := RandomGrey(64, 16, 99)
+	im := must(RandomGrey(64, 16, 99))
 	var firstH []int64
 	var firstLab []uint32
 	for _, spec := range Machines() {
@@ -97,11 +97,11 @@ func TestResultsIndependentOfMachineProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := sim.Histogram(im, 16)
+		h, err := sim.Histogram(nil, im, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Label(im, LabelOptions{Mode: Grey})
+		res, err := sim.Label(nil, im, LabelOptions{Mode: Grey})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,14 +127,14 @@ func TestResultsIndependentOfMachineProfile(t *testing.T) {
 // machines order by their calibrated per-op speed (CS-2 fastest, CM-5
 // slowest of the five), matching EXPERIMENTS.md.
 func TestMachineRankingStable(t *testing.T) {
-	im := RandomGrey(256, 256, 3)
+	im := must(RandomGrey(256, 256, 3))
 	times := map[string]float64{}
 	for _, spec := range Machines() {
 		sim, err := NewSimulator(16, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := sim.Histogram(im, 256)
+		h, err := sim.Histogram(nil, im, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestMachineRankingStable(t *testing.T) {
 
 // TestPGMRoundTripThroughPublicAPI ties the image I/O into the pipeline.
 func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
-	im := GeneratePattern(ConcentricCircles, 64)
+	im := must(GeneratePattern(ConcentricCircles, 64))
 	var buf bytes.Buffer
 	if err := WritePGM(&buf, im, 1); err != nil {
 		t.Fatal(err)
@@ -163,11 +163,11 @@ func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Label(im, LabelOptions{})
+	a, err := sim.Label(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Label(back, LabelOptions{})
+	b, err := sim.Label(nil, back, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +181,12 @@ func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
 // TestAllThreeParallelAlgorithmsAgreePublic exercises the public baseline
 // entry points on one input.
 func TestAllThreeParallelAlgorithmsAgreePublic(t *testing.T) {
-	im := RandomBinary(64, 0.55, 12345)
+	im := must(RandomBinary(64, 0.55, 12345))
 	sim, err := NewSimulator(16, SP2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Label(im, LabelOptions{})
+	a, err := sim.Label(nil, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

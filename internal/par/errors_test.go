@@ -19,7 +19,7 @@ func TestLabelErrRejectsOversizedImages(t *testing.T) {
 	if _, err := e.LabelIntoContext(nil, im, image.Conn8, seq.Binary, image.NewLabels(8)); !errors.Is(err, errs.ErrLabelOverflow) {
 		t.Fatalf("LabelIntoContext(n=%d) = %v, want ErrLabelOverflow", im.N, err)
 	}
-	if _, err := LabelContext(nil, nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
+	if _, err := LabelContext(nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrLabelOverflow) {
 		t.Fatalf("LabelContext(n=%d) = %v, want ErrLabelOverflow", im.N, err)
 	}
 }

@@ -11,21 +11,25 @@ import (
 )
 
 // checkLabelInput validates the (image, connectivity, mode) triple shared by
-// every labeling entry point. Image.Check enforces the structural invariants
-// including the n <= MaxSide label-space bound: seed labels are the global
-// row-major index + 1 in uint32, so a larger side would silently wrap
-// (65536*65536 == 2^32) and collide labels across strips.
-func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode seq.Mode) error {
+// every labeling entry point and returns the connectivity to run, with 0
+// resolved to the Conn8 default. Image.Check enforces the structural
+// invariants including the n <= MaxSide label-space bound: seed labels are
+// the global row-major index + 1 in uint32, so a larger side would silently
+// wrap (65536*65536 == 2^32) and collide labels across strips.
+func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode seq.Mode) (image.Connectivity, error) {
 	if err := im.Check(); err != nil {
-		return fmt.Errorf("par: %w", err)
+		return 0, fmt.Errorf("par: %w", err)
+	}
+	if conn == 0 {
+		conn = image.Conn8
 	}
 	if !conn.Valid() {
-		return errs.Bad(op, "invalid connectivity %d (want 4 or 8)", int(conn))
+		return 0, errs.Bad(op, "invalid connectivity %d (want 4 or 8)", int(conn))
 	}
 	if mode != seq.Binary && mode != seq.Grey {
-		return errs.Bad(op, "invalid mode %d", int(mode))
+		return 0, errs.Bad(op, "invalid mode %d", int(mode))
 	}
-	return nil
+	return conn, nil
 }
 
 // LabelIntoContext labels im's connected components into out with the
@@ -35,6 +39,7 @@ func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode s
 // (0, MaxSide], wrong buffer length), a malformed or mismatched out, an
 // unknown connectivity or an unknown mode returns an error from the errs
 // taxonomy instead of panicking or silently wrapping 32-bit seed labels.
+// Connectivity 0 selects Conn8.
 //
 // When ctx is canceled or its deadline expires, the workers stop at their
 // next checkpoint (between phases, and every few thousand rows, runs or
@@ -44,7 +49,8 @@ func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode s
 // labeled) — callers must discard them.
 func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 	conn image.Connectivity, mode seq.Mode, out *image.Labels) (int, error) {
-	if err := checkLabelInput("par.LabelInto", im, conn, mode); err != nil {
+	conn, err := checkLabelInput("par.LabelInto", im, conn, mode)
+	if err != nil {
 		return 0, err
 	}
 	if err := out.Check(); err != nil {

@@ -394,23 +394,19 @@ var defaultPool = NewPool(0)
 // GOMAXPROCS workers; the result is identical to seq.LabelBFS. Malformed
 // images (including sides beyond image.MaxSide, which would wrap the 32-bit
 // seed labels), unknown connectivities and unknown modes return errors from
-// the errs taxonomy. When ctx is canceled or its deadline expires, the
-// workers stop at their next checkpoint and the call returns an error
-// wrapping errs.ErrCanceled or errs.ErrDeadline (no partial labeling is
-// returned); a nil ctx disables cancellation at no cost. A non-nil rec is
-// installed as the engine's metrics recorder for the duration of the call
-// (removed before the engine returns to the pool); on an aborted run it
-// holds the phases that completed plus the aborted marker. Safe for
-// concurrent use, but concurrent callers sharing one recorder interleave
-// their phase records.
-func LabelContext(ctx context.Context, rec *obs.Recorder, im *image.Image,
+// the errs taxonomy; connectivity 0 selects Conn8. When ctx is canceled or
+// its deadline expires, the workers stop at their next checkpoint and the
+// call returns an error wrapping errs.ErrCanceled or errs.ErrDeadline (no
+// partial labeling is returned); a nil ctx disables cancellation at no
+// cost. Safe for concurrent use.
+func LabelContext(ctx context.Context, im *image.Image,
 	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	if err := checkLabelInput("par.Label", im, conn, mode); err != nil {
+	conn, err := checkLabelInput("par.Label", im, conn, mode)
+	if err != nil {
 		return nil, err
 	}
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)
-	e.SetObserver(rec)
 	out := image.NewLabels(im.N)
 	if _, err := e.labelInto(ctx, "par.Label", im, conn, mode, out); err != nil {
 		return nil, err

@@ -158,7 +158,7 @@ func TestLabelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
 				i := (g + iter) % len(ims)
-				got, err := LabelContext(nil, nil, ims[i], image.Conn8, seq.Binary)
+				got, err := LabelContext(nil, ims[i], image.Conn8, seq.Binary)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

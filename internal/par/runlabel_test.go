@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parimg/internal/image"
-	"parimg/internal/obs"
 	"parimg/internal/seq"
 )
 
@@ -144,22 +143,19 @@ func TestRunEngineReuseAndInto(t *testing.T) {
 }
 
 // TestLabelContextPooled exercises the pooled package-level entry point:
-// with neither context nor recorder, and with both.
+// with no context, and with a live one and connectivity 0, which selects
+// the Conn8 default.
 func TestLabelContextPooled(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 96)
 	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-	got, err := LabelContext(nil, nil, im, image.Conn8, seq.Binary)
+	got, err := LabelContext(nil, im, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, got, want, "pooled, no context")
-	rec := obs.NewRecorder()
-	got, err = LabelContext(context.Background(), rec, im, image.Conn8, seq.Binary)
+	got, err = LabelContext(context.Background(), im, 0, seq.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, got, want, "pooled, observed")
-	if rec.Counter(obs.CtrRuns) == 0 {
-		t.Error("recorder passed to LabelContext saw no runs")
-	}
+	requireIdentical(t, got, want, "pooled, with context, conn 0")
 }

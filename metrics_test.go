@@ -22,7 +22,10 @@ import (
 // Wall clocks on shared machines are noisy, so one clean attempt out of
 // five passes.
 func TestParMetricsPhasesCoverTotal(t *testing.T) {
-	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
+	im, err := parimg.GeneratePattern(parimg.DualSpiral, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := parimg.NewParallelEngine(4)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
@@ -68,8 +71,11 @@ func TestSimMetricsModelPhasesAndComm(t *testing.T) {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	im := parimg.GeneratePattern(parimg.DualSpiral, 256)
-	res, err := sim.Label(im, parimg.LabelOptions{})
+	im, err := parimg.GeneratePattern(parimg.DualSpiral, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Label(nil, im, parimg.LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +114,11 @@ func TestSimHistogramMetrics(t *testing.T) {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	im := parimg.RandomGrey(128, 256, 1)
-	res, err := sim.Histogram(im, 256)
+	im, err := parimg.RandomGrey(128, 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Histogram(nil, im, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,14 @@
 //
 // A minimal session:
 //
-//	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
+//	im, _ := parimg.GeneratePattern(parimg.DualSpiral, 512)
 //	sim, _ := parimg.NewSimulator(32, parimg.CM5)
-//	res, _ := sim.Label(im, parimg.LabelOptions{})
+//	res, _ := sim.Label(context.Background(), im, parimg.LabelOptions{})
 //	fmt.Println(res.Components, res.Report.SimTime)
+//
+// Every operation has one entry point. Constructors and helpers return an
+// error from the taxonomy below instead of panicking, and runs take a
+// context first; a nil context means no cancellation.
 package parimg
 
 import (
@@ -40,11 +44,11 @@ import (
 )
 
 // The typed error taxonomy of the public boundary. Every validation failure
-// returned by this package (and by the error-returning *Err variants)
-// matches ErrBadInput under errors.Is; the more specific sentinels classify
-// the failure, and the concrete *InputError carries the offending n/p/k.
+// returned by this package matches ErrBadInput under errors.Is; the more
+// specific sentinels classify the failure, and the concrete *InputError
+// carries the offending n/p/k.
 // Panics are reserved for internal invariant violations — arbitrary caller
-// input never panics through an error-returning entry point.
+// input never panics through an entry point.
 var (
 	// ErrBadInput is the root of the taxonomy: every input-validation
 	// failure wraps it.
@@ -141,9 +145,8 @@ type (
 const MetricsSchema = obs.Schema
 
 // NewMetricsRecorder returns an empty, enabled metrics recorder. Install it
-// with Simulator.SetObserver or ParallelEngine.SetObserver (or pass it in
-// LabelOptions.Metrics), run, then call Snapshot for the Metrics document
-// and Reset to start the next run's epoch.
+// with Simulator.SetObserver or ParallelEngine.SetObserver, run, then call
+// Snapshot for the Metrics document and Reset to start the next run's epoch.
 func NewMetricsRecorder() *MetricsRecorder { return obs.NewRecorder() }
 
 // Connectivity and mode constants.
@@ -185,21 +188,13 @@ func Machines() []MachineSpec { return machine.All() }
 // ideal), case-insensitively.
 func MachineByName(name string) (MachineSpec, error) { return machine.ByName(name) }
 
-// NewImage returns an all-background n x n image. Invalid sides panic;
-// NewImageErr returns them as errors.
-func NewImage(n int) *Image { return image.New(n) }
+// NewImage returns an all-background n x n image. A side outside
+// (0, MaxSide] returns ErrGeometry or ErrLabelOverflow.
+func NewImage(n int) (*Image, error) { return image.NewChecked(n) }
 
-// NewImageErr is NewImage with typed validation: n outside (0, MaxSide]
-// returns ErrGeometry or ErrLabelOverflow instead of panicking.
-func NewImageErr(n int) (*Image, error) { return image.NewChecked(n) }
-
-// GeneratePattern renders catalog pattern id at side n. Unknown ids and
-// invalid sides panic; GeneratePatternErr returns them as errors.
-func GeneratePattern(id PatternID, n int) *Image { return image.Generate(id, n) }
-
-// GeneratePatternErr is GeneratePattern with typed validation: an id outside
-// the Figure 1 catalog or a side outside (0, MaxSide] returns an error.
-func GeneratePatternErr(id PatternID, n int) (*Image, error) {
+// GeneratePattern renders catalog pattern id at side n. An id outside the
+// Figure 1 catalog or a side outside (0, MaxSide] returns an error.
+func GeneratePattern(id PatternID, n int) (*Image, error) {
 	return image.GenerateChecked(id, n)
 }
 
@@ -207,25 +202,15 @@ func GeneratePatternErr(id PatternID, n int) (*Image, error) {
 func AllPatterns() []PatternID { return image.AllPatterns() }
 
 // RandomBinary returns a deterministic random binary image with the given
-// foreground density. Invalid sides and densities panic; RandomBinaryErr
-// returns them as errors.
-func RandomBinary(n int, density float64, seed uint64) *Image {
-	return image.RandomBinary(n, density, seed)
-}
-
-// RandomBinaryErr is RandomBinary with typed validation: a side outside
-// (0, MaxSide] or a density outside [0, 1] (including NaN) returns an error.
-func RandomBinaryErr(n int, density float64, seed uint64) (*Image, error) {
+// foreground density. A side outside (0, MaxSide] or a density outside
+// [0, 1] (including NaN) returns an error.
+func RandomBinary(n int, density float64, seed uint64) (*Image, error) {
 	return image.RandomBinaryChecked(n, density, seed)
 }
 
-// RandomGrey returns a deterministic random image with k grey levels.
-// Invalid sides and grey counts panic; RandomGreyErr returns them as errors.
-func RandomGrey(n, k int, seed uint64) *Image { return image.RandomGrey(n, k, seed) }
-
-// RandomGreyErr is RandomGrey with typed validation: a side outside
-// (0, MaxSide] or k < 2 returns an error.
-func RandomGreyErr(n, k int, seed uint64) (*Image, error) {
+// RandomGrey returns a deterministic random image with k grey levels. A
+// side outside (0, MaxSide] or k < 2 returns an error.
+func RandomGrey(n, k int, seed uint64) (*Image, error) {
 	return image.RandomGreyChecked(n, k, seed)
 }
 
@@ -301,15 +286,11 @@ type HistogramResult struct {
 
 // Histogram computes the k-bar histogram of im on the simulated machine
 // (Section 4 of the paper). k must be a power of two and the image must
-// tile evenly across the processors.
-func (s *Simulator) Histogram(im *Image, k int) (*HistogramResult, error) {
-	return s.HistogramContext(context.Background(), im, k)
-}
-
-// HistogramContext is Histogram bounded by ctx: on cancellation or deadline
-// expiry the simulated processors unwind at their next checkpoint and the
-// call returns an error wrapping ErrCanceled or ErrDeadline.
-func (s *Simulator) HistogramContext(ctx context.Context, im *Image, k int) (*HistogramResult, error) {
+// tile evenly across the processors. On cancellation or deadline expiry of
+// ctx the simulated processors unwind at their next checkpoint and the call
+// returns an error wrapping ErrCanceled or ErrDeadline; a nil ctx means no
+// cancellation.
+func (s *Simulator) Histogram(ctx context.Context, im *Image, k int) (*HistogramResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -348,24 +329,18 @@ func (s *Simulator) Equalize(im *Image, k int) (*EqualizeResult, error) {
 func OtsuThreshold(h []int64) int { return hist.OtsuThreshold(h) }
 
 // Threshold returns the binary image with foreground where im's grey level
-// is at least t. Malformed images panic; ThresholdErr returns them as
-// errors.
-func Threshold(im *Image, t uint32) *Image {
-	out := NewImage(im.N)
+// is at least t. A malformed image returns an error.
+func Threshold(im *Image, t uint32) (*Image, error) {
+	if err := im.Check(); err != nil {
+		return nil, err
+	}
+	out := image.New(im.N)
 	for i, v := range im.Pix {
 		if v >= t && v > 0 {
 			out.Pix[i] = 1
 		}
 	}
-	return out
-}
-
-// ThresholdErr is Threshold with typed validation of the input image.
-func ThresholdErr(im *Image, t uint32) (*Image, error) {
-	if err := im.Check(); err != nil {
-		return nil, err
-	}
-	return Threshold(im, t), nil
+	return out, nil
 }
 
 // StageBreakdown is the per-stage simulated time split of a labeling run.
@@ -388,17 +363,6 @@ type LabelOptions struct {
 	// FullRelabel relabels whole tiles after every merge instead of the
 	// paper's limited border-and-hooks updating.
 	FullRelabel bool
-	// Metrics, when non-nil, receives the run's phase times and operation
-	// counters. Honored by LabelParallel; Simulator.Label instead uses the
-	// recorder installed with Simulator.SetObserver.
-	Metrics *MetricsRecorder
-	// Context, when non-nil, bounds the run: on cancellation or deadline
-	// expiry the workers (or simulated processors) stop at their next
-	// checkpoint and the call returns an error wrapping ErrCanceled or
-	// ErrDeadline. Honored by the error-returning entry points
-	// (LabelParallelErr, Simulator.Label); LabelParallel has no error path
-	// and ignores it — use LabelContext instead.
-	Context context.Context
 }
 
 // CCResult is the outcome of a parallel connected components run.
@@ -419,8 +383,12 @@ type CCResult struct {
 }
 
 // Label computes the connected components of im on the simulated machine
-// (Sections 5 and 6 of the paper).
-func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
+// (Sections 5 and 6 of the paper). On cancellation or deadline expiry of
+// ctx the simulated processors unwind at their next Sync/Barrier
+// checkpoint — merge iterations are bracketed by barriers, so cancellation
+// lands on a merge-round boundary — and the call returns an error wrapping
+// ErrCanceled or ErrDeadline; a nil ctx means no cancellation.
+func (s *Simulator) Label(ctx context.Context, im *Image, opt LabelOptions) (*CCResult, error) {
 	o := cc.Options{
 		Conn:        opt.Conn,
 		Mode:        opt.Mode,
@@ -430,7 +398,6 @@ func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
 	if opt.DirectDistribution {
 		o.ChangeDist = cc.DistDirect
 	}
-	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -445,16 +412,6 @@ func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
 		MergePhases: res.Phases,
 		Stages:      res.Stages,
 	}, nil
-}
-
-// LabelContext is Label bounded by ctx (which takes precedence over
-// opt.Context): on cancellation or deadline expiry the simulated processors
-// unwind at their next Sync/Barrier checkpoint — merge iterations are
-// bracketed by barriers, so cancellation lands on a merge-round boundary —
-// and the call returns an error wrapping ErrCanceled or ErrDeadline.
-func (s *Simulator) LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*CCResult, error) {
-	opt.Context = ctx
-	return s.Label(im, opt)
 }
 
 // ComponentStat summarizes one labeled component (area, bounding box,
@@ -484,15 +441,9 @@ func (s *Simulator) Census(im *Image, labels *Labels) (*CensusResult, error) {
 }
 
 // Census computes per-component statistics of a labeling over its source
-// image, sorted by decreasing size. Mismatched or malformed inputs panic;
-// CensusErr returns them as errors.
-func Census(l *Labels, im *Image) []ComponentStat { return l.Census(im) }
-
-// CensusErr is Census with typed validation: a malformed image or labeling,
-// or sides that do not match, returns an error instead of panicking.
-func CensusErr(l *Labels, im *Image) ([]ComponentStat, error) {
-	return l.CensusChecked(im)
-}
+// image, sorted by decreasing size. A malformed image or labeling, or sides
+// that do not match, returns an error.
+func Census(l *Labels, im *Image) ([]ComponentStat, error) { return l.CensusChecked(im) }
 
 // Object is a classified component; ObjectClass is its coarse shape class.
 type (
@@ -570,18 +521,16 @@ func (s *Simulator) LabelByPointerJumping(im *Image, opt LabelOptions) (*CCResul
 func HistogramSequential(im *Image, k int) ([]int64, error) { return im.Histogram(k) }
 
 // LabelSequential is the single-processor baseline labeling, the paper's
-// row-major BFS algorithm of Section 5.1 applied to the whole image.
-// Malformed inputs panic; LabelSequentialErr returns them as errors.
-func LabelSequential(im *Image, conn Connectivity, mode Mode) *Labels {
-	return seq.LabelBFS(im, conn, mode)
-}
-
-// LabelSequentialErr is LabelSequential with typed validation: a malformed
-// image (including sides beyond MaxSide, which would wrap the 32-bit seed
-// labels), an unknown connectivity or an unknown mode returns an error.
-func LabelSequentialErr(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
+// row-major BFS algorithm of Section 5.1 applied to the whole image. A
+// malformed image (including sides beyond MaxSide, which would wrap the
+// 32-bit seed labels), an unknown connectivity or an unknown mode returns
+// an error; connectivity 0 selects Conn8.
+func LabelSequential(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
 	if err := im.Check(); err != nil {
 		return nil, err
+	}
+	if conn == 0 {
+		conn = Conn8
 	}
 	if !conn.Valid() {
 		return nil, errs.Bad("parimg.LabelSequential", "invalid connectivity %d (want 4 or 8)", int(conn))
@@ -598,57 +547,27 @@ func LabelSequentialErr(im *Image, conn Connectivity, mode Mode) (*Labels, error
 // strip run-labeled and the border merges resolved by a concurrent
 // union-find instead of a simulated message-passing machine. The labeling
 // is pixel-for-pixel identical to LabelSequential (and to Simulator.Label).
-// Only Conn, Mode and Metrics of the options are honored — the remaining
-// fields configure simulator-only ablations. Malformed inputs panic;
-// LabelParallelErr returns them as errors. Safe for concurrent use.
-func LabelParallel(im *Image, opt LabelOptions) *Labels {
-	opt.Context = nil
-	out, err := LabelParallelErr(im, opt)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelParallelErr.
-		panic(err.Error())
-	}
-	return out
-}
-
-// LabelParallelErr is LabelParallel with typed validation instead of
-// panics: a malformed image (nil, wrong buffer length, side outside
-// (0, MaxSide]), an unknown connectivity or an unknown mode returns an
-// error from the taxonomy. In particular a side beyond MaxSide returns
-// ErrLabelOverflow — seed labels are 32-bit global indexes, so a larger
-// image would silently wrap and collide labels. A non-nil opt.Context
-// bounds the run as in LabelContext. Safe for concurrent use.
-func LabelParallelErr(im *Image, opt LabelOptions) (*Labels, error) {
-	conn := opt.Conn
-	if conn == 0 {
-		conn = Conn8
-	}
-	return par.LabelContext(opt.Context, opt.Metrics, im, conn, opt.Mode)
-}
-
-// LabelContext is LabelParallelErr bounded by ctx (which takes precedence
-// over opt.Context): on cancellation or deadline expiry the workers stop at
+// Only Conn and Mode of the options are honored — the remaining fields
+// configure simulator-only ablations. A malformed image (nil, wrong buffer
+// length, side outside (0, MaxSide]), an unknown connectivity or an unknown
+// mode returns an error from the taxonomy; in particular a side beyond
+// MaxSide returns ErrLabelOverflow, since seed labels are 32-bit global
+// indexes. On cancellation or deadline expiry of ctx the workers stop at
 // their next checkpoint — between phases, and every few thousand rows, runs
 // or edges inside the phase loops — and the call returns an error wrapping
-// ErrCanceled or ErrDeadline; no partial labeling is returned, and the
-// engine is immediately reusable. Safe for concurrent use.
-func LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*Labels, error) {
-	opt.Context = ctx
-	return LabelParallelErr(im, opt)
+// ErrCanceled or ErrDeadline; no partial labeling is returned. A nil ctx
+// means no cancellation. For metrics, label on a NewParallelEngine with an
+// observer installed. Safe for concurrent use.
+func LabelParallel(ctx context.Context, im *Image, opt LabelOptions) (*Labels, error) {
+	return par.LabelContext(ctx, im, opt.Conn, opt.Mode)
 }
 
 // HistogramParallel computes the k-bucket histogram of im on the
 // host-parallel engine: per-worker sharded tallies merged in a tree.
-// Unlike Simulator.Histogram, k needs not be a power of two. Safe for
+// Unlike Simulator.Histogram, k needs not be a power of two. ctx bounds the
+// run as in LabelParallel; a nil ctx means no cancellation. Safe for
 // concurrent use.
-func HistogramParallel(im *Image, k int) ([]int64, error) {
-	return par.HistogramContext(nil, im, k)
-}
-
-// HistogramContext is HistogramParallel bounded by ctx; see LabelContext for
-// the error contract. Safe for concurrent use.
-func HistogramContext(ctx context.Context, im *Image, k int) ([]int64, error) {
+func HistogramParallel(ctx context.Context, im *Image, k int) ([]int64, error) {
 	return par.HistogramContext(ctx, im, k)
 }
 

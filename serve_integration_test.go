@@ -64,7 +64,7 @@ func TestServeDarpaCensusGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-reading benchmark image: %v", err)
 	}
-	want := Census(LabelSequential(im, Conn8, Grey), im)
+	want := must(Census(must(LabelSequential(im, Conn8, Grey)), im))
 	if lr.Components != len(want) {
 		t.Fatalf("components = %d, want %d", lr.Components, len(want))
 	}
