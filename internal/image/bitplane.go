@@ -41,22 +41,20 @@ func (b *Bitplane) ResetRect(rows, cols int) {
 // stride is the plane's own width, into the bitplane, overwriting every
 // word of those rows (no prior clear needed). Disjoint row ranges may be
 // packed from different goroutines concurrently.
+//
+// Each bit is computed, not branched on: (v | -v) >> 31 is 1 exactly when
+// v != 0, so noise imagery, whose foreground test would mispredict about
+// half the time, packs at the speed of uniform imagery.
 func (b *Bitplane) SetRowsPix(pix []uint32, r0, r1 int) {
 	n := b.N
 	for i := r0; i < r1; i++ {
 		row := pix[i*n : (i+1)*n]
 		out := b.Words[i*b.WPR : (i+1)*b.WPR]
 		for wi := range out {
-			j0 := wi * 64
-			j1 := j0 + 64
-			if j1 > n {
-				j1 = n
-			}
+			chunk := row[wi*64 : min(wi*64+64, n)]
 			var w uint64
-			for j := j0; j < j1; j++ {
-				if row[j] != 0 {
-					w |= 1 << uint(j-j0)
-				}
+			for k, v := range chunk {
+				w |= uint64((v|-v)>>31) << uint(k)
 			}
 			out[wi] = w
 		}

@@ -52,27 +52,21 @@ func (b *Byteplane) ResetRect(rows, cols int) {
 // goroutines concurrently.
 func (b *Byteplane) SetRowsPix(pix []uint32, r0, r1 int) (wide bool) {
 	n := b.N
+	var high uint32 // OR of every pixel's bits above the low byte
 	for i := r0; i < r1; i++ {
 		row := pix[i*n : (i+1)*n]
 		out := b.Words[i*b.WPR : (i+1)*b.WPR]
 		for wi := range out {
-			j0 := wi * 8
-			j1 := j0 + 8
-			if j1 > n {
-				j1 = n
-			}
+			chunk := row[wi*8 : min(wi*8+8, n)]
 			var w uint64
-			for j := j0; j < j1; j++ {
-				v := row[j]
-				if v > 255 {
-					wide = true
-				}
-				w |= uint64(byte(v)) << (uint(j-j0) * 8)
+			for k, v := range chunk {
+				high |= v >> 8
+				w |= uint64(byte(v)) << (uint(k) * 8)
 			}
 			out[wi] = w
 		}
 	}
-	return wide
+	return high != 0
 }
 
 // Row returns the packed words of row i.

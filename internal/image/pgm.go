@@ -129,9 +129,9 @@ func ReadPGM(r io.Reader) (*Image, error) {
 		return nil, err
 	}
 	// The pixel area is bounded (w == h <= MaxSide), but grow the pixel
-	// array row by row anyway: a short stream then fails after buffering at
-	// most one row, instead of committing w*h words up front on the word of
-	// a 20-byte header.
+	// array as rows arrive anyway, doubling its capacity up to w*h: a short
+	// stream then fails having committed at most twice what it delivered,
+	// instead of w*h words up front on the word of a 20-byte header.
 	sampleBytes := pgmSampleBytes(maxVal)
 	im := &Image{N: w, Pix: make([]uint32, 0, min(w*h, 1<<20))}
 	row := make([]byte, w*sampleBytes)
@@ -139,13 +139,21 @@ func ReadPGM(r io.Reader) (*Image, error) {
 		if _, err := io.ReadFull(br, row); err != nil {
 			return nil, errs.Bad("image.ReadPGM", "reading pixel row %d of %d: %v", y, h, err)
 		}
+		off := len(im.Pix)
+		if off+w > cap(im.Pix) {
+			grown := make([]uint32, off, min(max(2*cap(im.Pix), off+w), w*h))
+			copy(grown, im.Pix)
+			im.Pix = grown
+		}
+		im.Pix = im.Pix[:off+w]
+		dst := im.Pix[off:]
 		if sampleBytes == 1 {
-			for _, b := range row {
-				im.Pix = append(im.Pix, uint32(b))
+			for j, b := range row {
+				dst[j] = uint32(b)
 			}
 		} else {
-			for j := 0; j < len(row); j += 2 {
-				im.Pix = append(im.Pix, uint32(row[j])<<8|uint32(row[j+1]))
+			for j := range dst {
+				dst[j] = uint32(row[2*j])<<8 | uint32(row[2*j+1])
 			}
 		}
 	}

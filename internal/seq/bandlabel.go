@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"parimg/internal/image"
@@ -13,7 +14,9 @@ import (
 // decodes one horizontal band of a taller-than-resident image at a time.
 // It owns the packed plane, the flat run table, per-run grey values and
 // seed labels, and the run union-find, and reuses them across slabs, so a
-// steady-state slab loop allocates nothing. The run table stays alive
+// steady-state slab loop on one worker allocates nothing (more workers
+// cost a few allocations per slab for their goroutines). The run table
+// stays alive
 // after Resolve/Label so a caller can revisit the slab's runs (the
 // parallel engine's final relabel pass does). The zero value is ready to
 // use; an instance is not safe for concurrent use.
@@ -35,12 +38,40 @@ type BandLabeler struct {
 	stop   *atomic.Bool
 	bp     image.Bitplane
 	bytep  image.Byteplane
+
+	workers int         // sub-slabs per Resolve (SetWorkers); <= 1 means one
+	slabs   []subSlab   // the current Resolve's row-range sub-slabs
+	abort   atomic.Bool // raised by a panicking sub-slab to stop its siblings
+
+	// The current Resolve's arguments, for its sub-slab workers; pix is
+	// dropped when Resolve returns.
+	pix  []uint32
+	cols int
+	conn image.Connectivity
+	grey bool
+}
+
+// subSlab is one row range [r0, r1) of a Resolve and what its worker
+// reports back.
+type subSlab struct {
+	r0, r1   int
+	wide     bool // grey levels above a byte: runs come from pix, not the byteplane
+	cut      bool // the stop flag cut this sub-slab's rows short
+	unites   int  // merging unites within the sub-slab
+	panicked any  // a recovered worker panic, re-raised by the caller
 }
 
 // SetStop installs (or, with nil, removes) a cooperative cancellation flag
 // polled once per row by the scan: once set, Resolve and Label return 0
 // early and paint nothing. nil (the default) costs nothing.
 func (b *BandLabeler) SetStop(stop *atomic.Bool) { b.stop = stop }
+
+// SetWorkers sets how many row-range sub-slabs Resolve splits a slab into
+// and labels concurrently: w goroutines (the calling one among them), at
+// most one per row. w <= 1 (the default) labels on the calling goroutine
+// alone. The result of Resolve — run table, roots, seeds, count — does not
+// depend on w.
+func (b *BandLabeler) SetWorkers(w int) { b.workers = w }
 
 // Resolve run-labels the rows x cols slab in pix without painting it:
 // runs are extracted and united, and the union-find is flattened so that
@@ -51,38 +82,215 @@ func (b *BandLabeler) SetStop(stop *atomic.Bool) { b.stop = stop }
 // pipeline's band budget both guarantee it. Binary mode packs the slab
 // into the bit plane and takes the word-at-a-time run scan; grey mode
 // packs the byte plane, falling back to full-width extraction over pix
-// when any grey level exceeds a byte.
+// in any sub-slab where a grey level exceeds a byte.
 //
 // A slab root is the first run of its slab component in row-major order
 // (its seed is the component's minimum), so a consumer that walks runs in
 // order meets every component at its root first.
+//
+// A panic in a sub-slab worker stops its siblings and is re-raised on the
+// calling goroutine once they have all returned.
 func (b *BandLabeler) Resolve(pix []uint32, rows, cols int, conn image.Connectivity, mode Mode) int {
 	comps, _ := b.resolve(pix, rows, cols, conn, mode)
 	return comps
 }
 
 // resolve is Resolve, also reporting whether the scan ran to completion
-// (false when the stop flag cut it short and the run table is partial).
+// (false when the stop flag cut it short; the run table is then empty).
+//
+// It runs in three steps over the row-range sub-slabs. (1) Each sub-slab
+// packs its rows and counts each row's runs into rowOff, and a prefix sum
+// turns the counts into offsets, which size the run table exactly. (2)
+// Each sub-slab extracts its rows' runs into its own part of the table,
+// writes their seeds and singleton parents, and unites its rows. (3) The
+// seam row pairs between sub-slabs are united serially, and the forest is
+// flattened. Unite-by-minimum leaves every root at its component's minimum
+// run whatever order the unites ran in, so the flat forest, and everything
+// derived from it, is the same for any number of sub-slabs.
 func (b *BandLabeler) resolve(pix []uint32, rows, cols int, conn image.Connectivity,
 	mode Mode) (int, bool) {
-	var comps int
-	var ok bool
-	if mode == Grey {
+	b.pix, b.cols, b.conn, b.grey = pix, cols, conn, mode == Grey
+	defer func() { b.pix = nil }()
+	if b.grey {
 		b.bytep.ResetRect(rows, cols)
-		bp := &b.bytep
-		if b.bytep.SetRowsPix(pix, 0, rows) {
-			bp = nil
-		}
-		comps, ok = b.scanGreyStrip(bp, pix, rows, cols, conn)
 	} else {
 		b.bp.ResetRect(rows, cols)
-		b.bp.SetRowsPix(pix, 0, rows)
-		comps, ok = b.scanStrip(rows, cols, conn)
 	}
-	if ok {
-		b.flatten()
+	b.split(rows)
+	b.rowOff = resize(b.rowOff, rows+1)
+	b.rowOff[0] = 0
+
+	b.each((*BandLabeler).count)
+	if b.wasCut() {
+		return 0, false
 	}
-	return comps, ok
+	for i := 0; i < rows; i++ {
+		b.rowOff[i+1] += b.rowOff[i]
+	}
+	nruns := int(b.rowOff[rows]) / 2
+	b.runs = resize(b.runs, 2*nruns)
+	b.seed = resize(b.seed, nruns)
+	b.parent = resize(b.parent, nruns)
+	b.vals = b.vals[:0]
+	if b.grey {
+		b.vals = resize(b.vals, nruns)
+	}
+
+	b.each((*BandLabeler).fill)
+	if b.wasCut() {
+		return 0, false
+	}
+	unites := b.slabs[0].unites
+	for _, sl := range b.slabs[1:] {
+		unites += sl.unites + b.uniteAt(sl.r0)
+	}
+	b.flatten()
+	return nruns - unites, true
+}
+
+// split cuts a rows-row slab into min(workers, rows) row ranges of nearly
+// equal height (one range, possibly empty, when workers <= 1).
+func (b *BandLabeler) split(rows int) {
+	n := max(1, min(b.workers, rows))
+	b.slabs = resize(b.slabs, n)
+	for s := range b.slabs {
+		b.slabs[s] = subSlab{r0: s * rows / n, r1: (s + 1) * rows / n}
+	}
+	b.abort.Store(false)
+}
+
+// each runs step over every sub-slab, sub-slabs 1.. on goroutines of
+// their own and sub-slab 0 on the caller's, and returns once all are done.
+// A panicking sub-slab raises the abort flag, which its siblings poll with
+// the stop flag, and the first panic is re-raised here after the join.
+func (b *BandLabeler) each(step func(*BandLabeler, *subSlab)) {
+	if len(b.slabs) == 1 {
+		step(b, &b.slabs[0])
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(b.slabs) - 1)
+	for s := 1; s < len(b.slabs); s++ {
+		go func(sl *subSlab) {
+			defer wg.Done()
+			b.guard(step, sl)
+		}(&b.slabs[s])
+	}
+	b.guard(step, &b.slabs[0])
+	wg.Wait()
+	for _, sl := range b.slabs {
+		if sl.panicked != nil {
+			panic(sl.panicked)
+		}
+	}
+}
+
+// guard runs step on one sub-slab, recovering a panic into it.
+func (b *BandLabeler) guard(step func(*BandLabeler, *subSlab), sl *subSlab) {
+	defer func() {
+		if p := recover(); p != nil {
+			sl.panicked = p
+			b.abort.Store(true)
+		}
+	}()
+	step(b, sl)
+}
+
+// wasCut reports whether the stop flag cut any sub-slab short, emptying
+// the run table if so: a partial table must not be painted.
+func (b *BandLabeler) wasCut() bool {
+	for _, sl := range b.slabs {
+		if sl.cut {
+			b.runs, b.rowOff, b.vals, b.seed, b.parent =
+				b.runs[:0], b.rowOff[:0], b.vals[:0], b.seed[:0], b.parent[:0]
+			return true
+		}
+	}
+	return false
+}
+
+// stopped reports whether the cancellation or the abort flag is raised.
+func (b *BandLabeler) stopped() bool {
+	return b.abort.Load() || b.stop != nil && b.stop.Load()
+}
+
+// count is step 1 for one sub-slab: pack each row, then store twice its
+// run count (its length in runs) at rowOff[i+1].
+func (b *BandLabeler) count(sl *subSlab) {
+	for i := sl.r0; i < sl.r1; i++ {
+		if b.stopped() {
+			sl.cut = true
+			return
+		}
+		var n int
+		if !b.grey {
+			b.bp.SetRowsPix(b.pix, i, i+1)
+			n = countRuns(b.bp.Row(i))
+		} else if b.bytep.SetRowsPix(b.pix, i, i+1) {
+			sl.wide = true
+			n = countGreyRunsPix(b.pix[i*b.cols : (i+1)*b.cols])
+		} else {
+			n = countGreyRuns(b.bytep.Row(i))
+		}
+		b.rowOff[i+1] = int32(2 * n)
+	}
+}
+
+// fill is step 2 for one sub-slab: extract each row's runs into its exact
+// slot of the run table, seed them (slab-local seed i*cols + start + 1) as
+// singletons, and unite them with the row above when that row is in the
+// sub-slab too. A wide sub-slab extracts every row from pix; its rows the
+// byteplane holds intact yield the same runs either way.
+func (b *BandLabeler) fill(sl *subSlab) {
+	unites := 0
+	for i := sl.r0; i < sl.r1; i++ {
+		if b.stopped() {
+			sl.cut = true
+			return
+		}
+		lo, hi := int(b.rowOff[i]), int(b.rowOff[i+1])
+		runs := b.runs[lo:lo:hi]
+		switch {
+		case !b.grey:
+			runs = AppendRuns(b.bp.Row(i), runs)
+		case sl.wide:
+			runs, _ = AppendGreyRunsPix(b.pix[i*b.cols:(i+1)*b.cols], runs, b.vals[lo/2:lo/2:hi/2])
+		default:
+			runs, _ = AppendGreyRuns(b.bytep.Row(i), runs, b.vals[lo/2:lo/2:hi/2])
+		}
+		if len(runs) != hi-lo {
+			panic("seq: run extraction disagrees with the run count")
+		}
+		base := uint32(i*b.cols) + 1
+		for k := lo / 2; k < hi/2; k++ {
+			b.seed[k] = base + uint32(b.runs[2*k])
+			b.parent[k] = int32(k)
+		}
+		if i > sl.r0 {
+			unites += b.uniteAt(i)
+		}
+	}
+	sl.unites = unites
+}
+
+// uniteAt unites the runs of row i with the adjacent (and, in grey mode,
+// like-valued) runs of row i-1, returning the merging unites.
+func (b *BandLabeler) uniteAt(i int) int {
+	prevLo, curLo, curHi := int(b.rowOff[i-1])/2, int(b.rowOff[i])/2, int(b.rowOff[i+1])/2
+	if b.grey {
+		return b.uniteRowsGrey(prevLo, curLo, curHi, b.conn)
+	}
+	return b.uniteRows(prevLo, curLo, curHi, b.conn)
+}
+
+// resize returns s with length n, reallocating with an eighth of slack
+// when its capacity is short, so slabs that grow a little at a time do not
+// reallocate every time.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/8)
+	}
+	return s[:n]
 }
 
 // Label is LabelAt with base 0: the slab's labels are its slab-local

@@ -1,6 +1,8 @@
 package seq
 
 import (
+	"math/bits"
+
 	"parimg/internal/image"
 )
 
@@ -72,6 +74,43 @@ func AppendGreyRuns(words []uint64, dst []int32, vals []uint32) ([]int32, []uint
 	return dst, vals
 }
 
+// lows and highs have the low and the high bit of every byte set.
+const (
+	lows  = 0x7f7f7f7f7f7f7f7f
+	highs = 0x8080808080808080
+)
+
+// countGreyRuns returns the number of pairs AppendGreyRuns appends for one
+// byte-packed row by counting run starts eight pixels at a time: nonzero
+// bytes that differ from their left neighbor (the previous byte, or the
+// previous word's top byte). A byte v is nonzero exactly when the high bit
+// of ((v & 0x7f) + 0x7f) | v is set, and no lane carries into the next.
+func countGreyRuns(words []uint64) int {
+	n := 0
+	var carry uint64 // top byte of the previous word
+	for _, x := range words {
+		d := x ^ (x<<8 | carry)
+		starts := ((x & lows) + lows | x) & ((d & lows) + lows | d) & highs
+		n += bits.OnesCount64(starts)
+		carry = x >> 56
+	}
+	return n
+}
+
+// countGreyRunsPix is countGreyRuns over a raw uint32 pixel row, the count
+// for AppendGreyRunsPix.
+func countGreyRunsPix(row []uint32) int {
+	n := 0
+	var prev uint32
+	for _, v := range row {
+		if v != 0 && v != prev {
+			n++
+		}
+		prev = v
+	}
+	return n
+}
+
 // AppendGreyRunsPix is AppendGreyRuns over a raw uint32 pixel row, the
 // full-width path for strips whose grey levels exceed a byte (the
 // byteplane would truncate them). One load and compare per pixel instead
@@ -101,37 +140,6 @@ func AppendGreyRunsPix(row []uint32, dst []int32, vals []uint32) ([]int32, []uin
 		vals = append(vals, cur)
 	}
 	return dst, vals
-}
-
-// scanGreyStrip is the grey pass one of Resolve: extract each row's grey
-// runs — from the packed byte plane bp when non-nil, from the raw pixels
-// otherwise (the full-width fallback for grey levels above 255) — and
-// unite them with the like-colored adjacent runs of the row above.
-// Returns as scanStrip does.
-func (b *BandLabeler) scanGreyStrip(bp *image.Byteplane, pix []uint32, rows, cols int,
-	conn image.Connectivity) (comps int, ok bool) {
-	b.reset()
-	unites := 0
-	prevLo := 0
-	for i := 0; i < rows; i++ {
-		b.rowOff = append(b.rowOff, int32(len(b.runs)))
-		if b.stopped() {
-			return 0, false
-		}
-		curLo := len(b.parent)
-		if bp != nil {
-			b.runs, b.vals = AppendGreyRuns(bp.Row(i), b.runs, b.vals)
-		} else {
-			b.runs, b.vals = AppendGreyRunsPix(pix[i*cols:(i+1)*cols], b.runs, b.vals)
-		}
-		b.addRow(i, cols, curLo)
-		if i > 0 {
-			unites += b.uniteRowsGrey(prevLo, curLo, len(b.parent), conn)
-		}
-		prevLo = curLo
-	}
-	b.rowOff = append(b.rowOff, int32(len(b.runs)))
-	return len(b.parent) - unites, true
 }
 
 // uniteRowsGrey unites each run of the current row [curLo, curHi) with

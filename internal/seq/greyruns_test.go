@@ -112,6 +112,9 @@ func TestAppendGreyRunsTable(t *testing.T) {
 			if fmt.Sprint(gotRuns) != fmt.Sprint(wantRuns) || fmt.Sprint(gotVals) != fmt.Sprint(wantVals) {
 				t.Errorf("AppendGreyRuns = %v/%v, want %v/%v", gotRuns, gotVals, wantRuns, wantVals)
 			}
+			if c, cp := countGreyRuns(words), countGreyRunsPix(pix); c != len(wantVals) || cp != len(wantVals) {
+				t.Errorf("counted %d runs (%d from pix), want %d", c, cp, len(wantVals))
+			}
 
 			gotRuns, gotVals = AppendGreyRunsPix(pix, nil, nil)
 			if fmt.Sprint(gotRuns) != fmt.Sprint(wantRuns) || fmt.Sprint(gotVals) != fmt.Sprint(wantVals) {
@@ -121,9 +124,10 @@ func TestAppendGreyRunsTable(t *testing.T) {
 	}
 }
 
-// TestAppendGreyRunsMatchesPixelScan checks both extractors against the
-// per-pixel reference on random grey rows, with widths straddling word
-// boundaries and grey-level counts from near-binary to full 8-bit.
+// TestAppendGreyRunsMatchesPixelScan checks both extractors, and both run
+// counts, against the per-pixel reference on random grey rows, with widths
+// straddling word boundaries and grey-level counts from near-binary to
+// full 8-bit.
 func TestAppendGreyRunsMatchesPixelScan(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 128, 200} {
 		for _, k := range []int{2, 3, 16, 256} {
@@ -139,6 +143,10 @@ func TestAppendGreyRunsMatchesPixelScan(t *testing.T) {
 				if fmt.Sprint(gotRuns) != fmt.Sprint(wantRuns) || fmt.Sprint(gotVals) != fmt.Sprint(wantVals) {
 					t.Fatalf("n=%d k=%d row %d: runs %v/%v, want %v/%v",
 						n, k, i, gotRuns, gotVals, wantRuns, wantVals)
+				}
+				if c, cp := countGreyRuns(bp.Row(i)), countGreyRunsPix(row); c != len(wantVals) || cp != len(wantVals) {
+					t.Fatalf("n=%d k=%d row %d: counted %d runs (%d from pix), want %d",
+						n, k, i, c, cp, len(wantVals))
 				}
 				gotRuns, gotVals = AppendGreyRunsPix(row, nil, nil)
 				if fmt.Sprint(gotRuns) != fmt.Sprint(wantRuns) || fmt.Sprint(gotVals) != fmt.Sprint(wantVals) {

@@ -63,6 +63,20 @@ func AppendRuns(words []uint64, dst []int32) []int32 {
 	return dst
 }
 
+// countRuns returns the number of maximal set-bit runs in one packed row
+// — the number of pairs AppendRuns appends — by counting run starts: a set
+// bit whose left neighbor (the previous bit, or the previous word's top
+// bit) is clear.
+func countRuns(words []uint64) int {
+	n := 0
+	var carry uint64 // top bit of the previous word
+	for _, x := range words {
+		n += bits.OnesCount64(x &^ (x<<1 | carry))
+		carry = x >> 63
+	}
+	return n
+}
+
 // Fill32 sets every element of s to v. Long spans are filled with doubling
 // copies (memmove under the hood), short ones with a plain loop — the
 // "memset-style" span write of the run labeler's paint pass.
@@ -77,55 +91,6 @@ func Fill32(s []uint32, v uint32) {
 	for i := 1; i < len(s); i *= 2 {
 		copy(s[i:], s[:i])
 	}
-}
-
-// reset empties the run table and union-find for a new slab, keeping
-// their capacity.
-func (b *BandLabeler) reset() {
-	b.runs = b.runs[:0]
-	b.vals = b.vals[:0]
-	b.seed = b.seed[:0]
-	b.parent = b.parent[:0]
-	b.rowOff = b.rowOff[:0]
-}
-
-// stopped reports whether the cancellation flag is raised.
-func (b *BandLabeler) stopped() bool { return b.stop != nil && b.stop.Load() }
-
-// addRow appends one seed and one singleton union-find entry per run of
-// slab row i, the runs from curLo on, whose seeds are slab-local:
-// i*cols + start + 1.
-func (b *BandLabeler) addRow(i, cols, curLo int) {
-	base := uint32(i*cols) + 1
-	for k := curLo; k < len(b.runs)/2; k++ {
-		b.seed = append(b.seed, base+uint32(b.runs[2*k]))
-		b.parent = append(b.parent, int32(k))
-	}
-}
-
-// scanStrip is the binary pass one of Resolve over the packed bit plane:
-// extract each row's runs and unite them with the overlapping runs of the
-// row above. It returns the number of components, or ok = false (and 0)
-// when the stop flag cut the scan short, leaving the run table partial.
-func (b *BandLabeler) scanStrip(rows, cols int, conn image.Connectivity) (comps int, ok bool) {
-	b.reset()
-	unites := 0
-	prevLo := 0
-	for i := 0; i < rows; i++ {
-		b.rowOff = append(b.rowOff, int32(len(b.runs)))
-		if b.stopped() {
-			return 0, false
-		}
-		curLo := len(b.parent)
-		b.runs = AppendRuns(b.bp.Row(i), b.runs)
-		b.addRow(i, cols, curLo)
-		if i > 0 {
-			unites += b.uniteRows(prevLo, curLo, len(b.parent), conn)
-		}
-		prevLo = curLo
-	}
-	b.rowOff = append(b.rowOff, int32(len(b.runs)))
-	return len(b.parent) - unites, true
 }
 
 // flatten points every run straight at its root in one forward sweep.

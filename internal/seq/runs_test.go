@@ -47,9 +47,10 @@ func runsOfRow(row []uint32) []int32 {
 	return out
 }
 
-// TestAppendRunsMatchesPixelScan checks word-at-a-time extraction against
-// the per-pixel reference on random rows, with widths straddling word
-// boundaries (including runs that cross words and runs ending at bit 63).
+// TestAppendRunsMatchesPixelScan checks word-at-a-time extraction, and the
+// run count that sizes it, against the per-pixel reference on random rows,
+// with widths straddling word boundaries (including runs that cross words
+// and runs ending at bit 63).
 func TestAppendRunsMatchesPixelScan(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 256} {
 		for seed := uint64(0); seed < 8; seed++ {
@@ -58,6 +59,9 @@ func TestAppendRunsMatchesPixelScan(t *testing.T) {
 			for i := 0; i < n; i++ {
 				got := AppendRuns(bp.Row(i), nil)
 				want := runsOfRow(im.Pix[i*n : (i+1)*n])
+				if c := countRuns(bp.Row(i)); 2*c != len(want) {
+					t.Fatalf("n=%d seed=%d row %d: counted %d runs, want %d", n, seed, i, c, len(want)/2)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("n=%d seed=%d row %d: %v runs, want %v", n, seed, i, got, want)
 				}
@@ -89,6 +93,9 @@ func TestAppendRunsWordSpanning(t *testing.T) {
 	want := []int32{10, 150, 160, 192}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("runs = %v, want %v", got, want)
+	}
+	if c := countRuns(bp.Row(0)); c != 2 {
+		t.Fatalf("counted %d runs, want 2", c)
 	}
 }
 

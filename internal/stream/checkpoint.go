@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"parimg/internal/atomicio"
 	"parimg/internal/errs"
@@ -131,15 +132,17 @@ func (c *checkpoint) encode(w io.Writer) error {
 	for _, v := range c.prevLab {
 		e.u64(v)
 	}
+	// Map entries go out in key order, so a record's bytes are a function
+	// of the census state alone, not of map iteration order.
 	e.u64(uint64(len(c.parent)))
-	for child, par := range c.parent {
+	for _, child := range sortedKeys(c.parent) {
 		e.u64(child)
-		e.u64(par)
+		e.u64(c.parent[child])
 	}
 	e.u64(uint64(len(c.sizes)))
-	for lab, size := range c.sizes {
+	for _, lab := range sortedKeys(c.sizes) {
 		e.u64(lab)
-		e.u64(uint64(size))
+		e.u64(uint64(c.sizes[lab]))
 	}
 	if e.err != nil {
 		return e.err
@@ -150,6 +153,16 @@ func (c *checkpoint) encode(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// sortedKeys returns the keys of m in increasing order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // ckptDecoder reads little-endian fields from a byte slice, latching

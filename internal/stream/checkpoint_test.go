@@ -33,7 +33,8 @@ func censusKey(r *Result) string {
 // pass at every band boundary, resume from the latest durable checkpoint,
 // and demand the census and the label PGM come out byte-identical to an
 // uninterrupted run — at more than one checkpoint cadence, so resumes
-// both at a checkpointed band and several bands past one are covered.
+// both at a checkpointed band and several bands past one are covered, and
+// at one and at four band-labeling workers.
 func TestResumeByteIdentical(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.DARPAScene(60, 12, 7)
@@ -47,61 +48,117 @@ func TestResumeByteIdentical(t *testing.T) {
 	for _, every := range []int{1, 3} {
 		for band := 0; band < totalBands; band++ {
 			t.Run(fmt.Sprintf("every%d/crash-band%d", every, band), func(t *testing.T) {
-				ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+				for _, procs := range []int{1, 4} {
+					atProcs(procs, func() {
+						ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
-				crash := base
-				crash.Checkpoint = ckpt
-				crash.CheckpointEvery = every
-				crash.Fault = crashAt(band)
-				var out bytes.Buffer
-				_, err := Label(bytes.NewReader(pgm), &out, crash)
-				if !errors.Is(err, errs.ErrAborted) {
-					t.Fatalf("crashed run error = %v, want ErrAborted", err)
-				}
-				var inj *fault.Injected
-				if !errors.As(err, &inj) || inj.Site.Name != "band_commit" {
-					t.Fatalf("crashed run cause = %v, want injected band_commit fault", err)
-				}
-				if out.Len() != 0 {
-					t.Fatalf("crashed census pass emitted %d output bytes", out.Len())
-				}
+						crash := base
+						crash.Checkpoint = ckpt
+						crash.CheckpointEvery = every
+						crash.Fault = crashAt(band)
+						var out bytes.Buffer
+						_, err := Label(bytes.NewReader(pgm), &out, crash)
+						if !errors.Is(err, errs.ErrAborted) {
+							t.Fatalf("procs%d: crashed run error = %v, want ErrAborted", procs, err)
+						}
+						var inj *fault.Injected
+						if !errors.As(err, &inj) || inj.Site.Name != "band_commit" {
+							t.Fatalf("procs%d: crashed run cause = %v, want injected band_commit fault", procs, err)
+						}
+						if out.Len() != 0 {
+							t.Fatalf("procs%d: crashed census pass emitted %d output bytes", procs, out.Len())
+						}
 
-				resume := base
-				resume.Checkpoint = ckpt
-				resume.CheckpointEvery = every
-				if _, err := os.Stat(ckpt); err != nil {
-					// The crash fired before the first record landed: nothing
-					// durable exists, so recovery is a fresh checkpointed run.
-					if band >= every {
-						t.Fatalf("no checkpoint after surviving band %d at cadence %d", band, every)
-					}
-				} else {
-					resume.Resume = true
-				}
-				rec := obs.NewRecorder()
-				resume.Obs = rec
-				out.Reset()
-				res, err := Label(bytes.NewReader(pgm), &out, resume)
-				if err != nil {
-					t.Fatalf("resumed run: %v", err)
-				}
-				if resume.Resume {
-					if res.ResumedFrom < 1 || res.ResumedFrom > band {
-						t.Fatalf("ResumedFrom = %d, want in [1, %d]", res.ResumedFrom, band)
-					}
-					if rec.Counter(obs.CtrResumeBand) != int64(res.ResumedFrom) {
-						t.Fatalf("resume_band counter = %d, want %d",
-							rec.Counter(obs.CtrResumeBand), res.ResumedFrom)
-					}
-				}
-				if got, want := censusKey(res), censusKey(wantRes); got != want {
-					t.Fatalf("resumed census\n %s\nwant\n %s", got, want)
-				}
-				if !bytes.Equal(out.Bytes(), wantPGM) {
-					t.Fatalf("resumed label PGM differs from the uninterrupted run")
+						resume := base
+						resume.Checkpoint = ckpt
+						resume.CheckpointEvery = every
+						if _, err := os.Stat(ckpt); err != nil {
+							// The crash fired before the first record landed: nothing
+							// durable exists, so recovery is a fresh checkpointed run.
+							if band >= every {
+								t.Fatalf("procs%d: no checkpoint after surviving band %d at cadence %d", procs, band, every)
+							}
+						} else {
+							resume.Resume = true
+						}
+						rec := obs.NewRecorder()
+						resume.Obs = rec
+						out.Reset()
+						res, err := Label(bytes.NewReader(pgm), &out, resume)
+						if err != nil {
+							t.Fatalf("procs%d: resumed run: %v", procs, err)
+						}
+						if resume.Resume {
+							if res.ResumedFrom < 1 || res.ResumedFrom > band {
+								t.Fatalf("procs%d: ResumedFrom = %d, want in [1, %d]", procs, res.ResumedFrom, band)
+							}
+							if rec.Counter(obs.CtrResumeBand) != int64(res.ResumedFrom) {
+								t.Fatalf("procs%d: resume_band counter = %d, want %d", procs,
+									rec.Counter(obs.CtrResumeBand), res.ResumedFrom)
+							}
+						}
+						if got, want := censusKey(res), censusKey(wantRes); got != want {
+							t.Fatalf("procs%d: resumed census\n %s\nwant\n %s", procs, got, want)
+						}
+						if !bytes.Equal(out.Bytes(), wantPGM) {
+							t.Fatalf("procs%d: resumed label PGM differs from the uninterrupted run", procs)
+						}
+					})
 				}
 			})
 		}
+	}
+}
+
+// TestResumeAcrossWorkerCounts crashes a checkpointed run labeled on one
+// band-labeling worker and resumes it on four: band results do not depend
+// on the worker count, so the Result, the label PGM and the final
+// checkpoint record must all be byte-identical to an uninterrupted
+// one-worker run's.
+func TestResumeAcrossWorkerCounts(t *testing.T) {
+	leakcheck.Check(t)
+	im := image.DARPAScene(60, 12, 8)
+	pgm := encodePGM(im.Pix, im.N, im.N, 255)
+	dir := t.TempDir()
+	opt := Options{Conn: image.Conn8, BandRows: 9, TopK: 4, CheckpointEvery: 2}
+
+	ref := opt
+	ref.Checkpoint = filepath.Join(dir, "ref.ckpt")
+	var wantRes *Result
+	var wantPGM []byte
+	atProcs(1, func() { wantRes, wantPGM = streamLabel(t, pgm, ref) })
+	wantRecord, err := os.ReadFile(ref.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := opt
+	run.Checkpoint = filepath.Join(dir, "run.ckpt")
+	run.Fault = crashAt(4)
+	atProcs(1, func() { _, err = Label(bytes.NewReader(pgm), nil, run) })
+	if !errors.Is(err, errs.ErrAborted) {
+		t.Fatalf("crashed run error = %v, want ErrAborted", err)
+	}
+	run.Fault = nil
+	run.Resume = true
+	var res *Result
+	var got []byte
+	atProcs(4, func() { res, got = streamLabel(t, pgm, run) })
+	if res.ResumedFrom != 4 {
+		t.Fatalf("ResumedFrom = %d, want 4", res.ResumedFrom)
+	}
+	record, err := os.ReadFile(run.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := censusKey(res), censusKey(wantRes); got != want {
+		t.Errorf("resumed census\n %s\nwant\n %s", got, want)
+	}
+	if !bytes.Equal(got, wantPGM) {
+		t.Error("resumed label PGM differs from the one-worker run's")
+	}
+	if !bytes.Equal(record, wantRecord) {
+		t.Error("final checkpoint record differs from the one-worker run's")
 	}
 }
 

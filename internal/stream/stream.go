@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -209,6 +210,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		fault:     opt.Fault,
 	}
 	p.bl.SetStop(&wd.stop)
+	p.bl.SetWorkers(runtime.GOMAXPROCS(0))
 
 	if p.ckptPath != "" {
 		// The raw header bytes are the checkpoint's input fingerprint,

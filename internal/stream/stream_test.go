@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,11 +90,18 @@ func streamLabel(t *testing.T, pgm []byte, opt Options) (*Result, []byte) {
 	return res, out.Bytes()
 }
 
+// atProcs runs fn with GOMAXPROCS set to procs — the number of sub-slab
+// workers the pipeline's band labeler uses — and restores it after.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // TestStreamMatchesResident is the pixel-identity sweep: every catalog
 // pattern plus binary and grey DARPA scenes, both connectivities, several
 // band heights (including one-row bands and bands taller than the image),
-// all compared byte for byte against the dense rendering of the resident
-// reference labeling.
+// at one and at four band-labeling workers, all compared byte for byte
+// against the dense rendering of the resident reference labeling.
 func TestStreamMatchesResident(t *testing.T) {
 	type input struct {
 		name string
@@ -117,24 +125,30 @@ func TestStreamMatchesResident(t *testing.T) {
 			refConn[conn] = lab
 			want := renderDense(lab, n, n, comps)
 			for _, bandRows := range []int{1, 5, n, n + 37} {
-				name := fmt.Sprintf("%s/conn%d/band%d", in.name, int(conn), bandRows)
-				res, got := streamLabel(t, pgm, Options{
-					Conn: conn, Mode: in.mode, BandRows: bandRows, TopK: 5,
-				})
-				if res.Components != int64(comps) {
-					t.Errorf("%s: %d components, want %d", name, res.Components, comps)
+				for _, procs := range []int{1, 4} {
+					name := fmt.Sprintf("%s/conn%d/band%d/procs%d", in.name, int(conn), bandRows, procs)
+					var res *Result
+					var got []byte
+					atProcs(procs, func() {
+						res, got = streamLabel(t, pgm, Options{
+							Conn: conn, Mode: in.mode, BandRows: bandRows, TopK: 5,
+						})
+					})
+					if res.Components != int64(comps) {
+						t.Errorf("%s: %d components, want %d", name, res.Components, comps)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s: label PGM differs from resident rendering", name)
+					}
+					wantBands := (n + bandRows - 1) / bandRows
+					if bandRows > n {
+						wantBands = 1
+					}
+					if res.Bands != wantBands {
+						t.Errorf("%s: %d bands, want %d", name, res.Bands, wantBands)
+					}
+					checkCensus(t, name, res, in.im.Pix, refConn[conn])
 				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: label PGM differs from resident rendering", name)
-				}
-				wantBands := (n + bandRows - 1) / bandRows
-				if bandRows > n {
-					wantBands = 1
-				}
-				if res.Bands != wantBands {
-					t.Errorf("%s: %d bands, want %d", name, res.Bands, wantBands)
-				}
-				checkCensus(t, name, res, in.im.Pix, refConn[conn])
 			}
 		}
 	}
