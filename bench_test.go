@@ -454,22 +454,12 @@ func BenchmarkBaselineSV(b *testing.B) {
 }
 
 // BenchmarkHostSequentialBaselines measures the host-native sequential
-// labelers, the p=1 anchors for efficiency computations.
+// BFS labeler, the p=1 anchor for efficiency computations.
 func BenchmarkHostSequentialBaselines(b *testing.B) {
 	im := image.RandomBinary(512, 0.55, 77)
 	b.Run("bfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seq.LabelBFS(im, image.Conn8, seq.Binary)
-		}
-	})
-	b.Run("union-find", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seq.LabelUnionFind(im, image.Conn8, seq.Binary)
-		}
-	})
-	b.Run("two-pass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seq.LabelTwoPass(im, image.Conn8, seq.Binary)
 		}
 	})
 }

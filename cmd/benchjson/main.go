@@ -6,9 +6,9 @@
 //
 // The multi-worker count is GOMAXPROCS when that is more than one, and an
 // oversubscribed 4 otherwise, so a 1-CPU container still measures the
-// border merge (concurrency effects are then simulated by the scheduler,
-// but the per-phase algorithmic costs — run extraction, edge extraction,
-// find chains — are real). Host-parallel rows carry algo "runs" and merge
+// row-range split and its seams (concurrency effects are then simulated by
+// the scheduler, but the per-phase algorithmic costs — run extraction,
+// seam unites, the paint — are real). Host-parallel rows carry algo "runs" and merge
 // "tree", the keys of the cells baselines written before the par BFS path
 // and the Shiloach-Vishkin merge were retired.
 //

@@ -121,29 +121,25 @@ func render(buf *bytes.Buffer, spec parimg.MachineSpec, p, n, W int) {
 	fmt.Fprintf(buf, "\n**Measured** (host-parallel engine, workers=%d — binary rows extract\n"+
 		"foreground runs from the bit plane, the grey DARPA row extracts\n"+
 		"equal-grey-level runs from the byte plane): percent of wall-clock\n"+
-		"time, and the share of it the recorded phases cover. Edges is the\n"+
-		"boundary union-edge count the border merge's extraction collected\n"+
-		"and fed to the concurrent union-find.\n\n", W)
-	fmt.Fprintf(buf, "| image | strip label | border merge | relabel | cleanup | edges | wall ms | covered |\n")
-	fmt.Fprintf(buf, "|---|---:|---:|---:|---:|---:|---:|---:|\n")
+		"time, and the share of it the recorded phases cover.\n\n", W)
+	fmt.Fprintf(buf, "| image | strip label | relabel | wall ms | covered |\n")
+	fmt.Fprintf(buf, "|---|---:|---:|---:|---:|\n")
 	for _, in := range ins {
 		m := parMetrics(in, W)
 		total := float64(m.TotalNS)
-		fmt.Fprintf(buf, "| %s | %s | %s | %s | %s | %d | %.1f | %s |\n",
+		fmt.Fprintf(buf, "| %s | %s | %s | %.1f | %s |\n",
 			in.name,
 			pct(float64(m.WallPhaseNS("strip_label")), total),
-			pct(float64(m.WallPhaseNS("border_merge")), total),
 			pct(float64(m.WallPhaseNS("relabel")), total),
-			pct(float64(m.WallPhaseNS("cleanup")), total),
-			m.Counters["border_edges"],
 			total/1e6,
 			pct(float64(m.WallPhaseNS()), total))
 	}
 	fmt.Fprintf(buf, "\nReading: the modeled split is dominated by init (the local tile\n"+
 		"labeling) and the final update, with the log p merge rounds in between —\n"+
 		"the Section 5 shape. The measured split shows the same structure on real\n"+
-		"goroutines: strip labeling dominates, the border merge is the cheap\n"+
-		"O(runs) graph pass, and the relabel sweep pays one find per run.\n"+
+		"goroutines: strip labeling — run extraction, the unites and the seams\n"+
+		"between the workers' row ranges — dominates, and the relabel pass paints\n"+
+		"each run once with its root's label.\n"+
 		"Wall times are container-dependent; the shares are the reproducible part.\n")
 }
 

@@ -207,7 +207,7 @@ func TestExperimentsPhasereportSection(t *testing.T) {
 		"horizontal-bars", "vertical-bars", "forward-diagonal-bars",
 		"back-diagonal-bars", "cross", "filled-disc", "concentric-circles",
 		"four-squares", "dual-spiral", "darpa",
-		"Modeled", "Measured", "strip label", "border merge",
+		"Modeled", "Measured", "strip label", "relabel",
 	} {
 		if !strings.Contains(section, want) {
 			t.Errorf("phasereport section is missing %q; rerun make experiments", want)

@@ -41,10 +41,6 @@ func checkExact(t *testing.T, im *image.Image, p int, opt Options) {
 				res.Labels.Lab[idx], want.Lab[idx])
 		}
 	}
-	uf := seq.LabelUnionFind(im, o.Conn, o.Mode)
-	if ok, why := res.Labels.EquivalentTo(uf); !ok {
-		t.Fatalf("n=%d p=%d: union-find cross-check failed: %s", im.N, p, why)
-	}
 }
 
 func TestBinaryPatternsAllP(t *testing.T) {

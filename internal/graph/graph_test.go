@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"parimg/internal/seq"
 )
 
 func TestEmptyGraph(t *testing.T) {
@@ -115,26 +113,26 @@ func TestComponentsMatchUnionFind(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
 		g := New(n)
-		d := seq.NewDisjointSet(n)
+		d := newDSU(n)
 		for e := 0; e < rng.Intn(400); e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			g.AddEdge(u, v)
 			if u != v {
-				d.Union(int32(u), int32(v))
+				d.union(u, v)
 			}
 		}
 		ids, _ := g.Components()
 		for u := 1; u < n; u++ {
 			same := ids[u] == ids[0]
-			ufSame := d.Find(int32(u)) == d.Find(0)
+			ufSame := d.find(u) == d.find(0)
 			if same != ufSame {
 				return false
 			}
 		}
 		// Full pairwise agreement via canonical maps.
-		rep := map[int32]int32{}
+		rep := map[int32]int{}
 		for u := 0; u < n; u++ {
-			r := d.Find(int32(u))
+			r := d.find(u)
 			if prev, ok := rep[ids[u]]; ok {
 				if prev != r {
 					return false
@@ -149,3 +147,25 @@ func TestComponentsMatchUnionFind(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// dsu is the union-find oracle of TestComponentsMatchUnionFind: path
+// halving, linking the second root under the first.
+type dsu []int
+
+func newDSU(n int) dsu {
+	d := make(dsu, n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+
+func (d dsu) find(x int) int {
+	for d[x] != x {
+		d[x] = d[d[x]]
+		x = d[x]
+	}
+	return x
+}
+
+func (d dsu) union(a, b int) { d[d.find(b)] = d.find(a) }

@@ -11,16 +11,17 @@
 // captures exactly that split for one run:
 //
 //   - wall-clock phases, measured with monotonic timers around each engine
-//     phase of a host-parallel run (strip labeling, border merge, final
-//     relabel, cleanup);
+//     phase of a host-parallel run (strip labeling, relabel) or of a
+//     streamed run (band decode, label, merge, fold, write);
 //   - modeled phases, the simulated seconds of each stage of a BDM run
 //     (initialization, each merge iteration, the final update);
 //   - modeled communication volume per primitive: the number of charged
 //     latencies (tau count, one per completed Sync batch) and the words
 //     moved, attributed to the communication label active at Sync time
 //     (transpose, broadcast, collect, border fetch, change distribution);
-//   - operation counters (union-find finds and unites, border pairs,
-//     extracted runs, relabeled pixels), accumulated atomically.
+//   - operation counters (components found per strip or band, border
+//     pairs, edges and links, extracted runs, bands, checkpoints),
+//     accumulated atomically.
 //
 // The disabled path is allocation-free and near-free in time: a nil
 // *Recorder is a valid recorder whose methods are no-ops, so engine code
@@ -52,13 +53,13 @@ type Counter int
 
 // The operation counters of the labeling engines.
 const (
-	// CtrStripComponents counts components found by strip-local labeling
-	// before the border merge (the sum of per-strip component counts).
+	// CtrStripComponents counts components found by slab-local labeling
+	// before any border merge: the whole image's count on the resident
+	// engine, the sum of per-band counts on the streaming pipeline.
 	CtrStripComponents Counter = iota
-	// CtrBorderPairs counts raw adjacencies examined across strip
-	// boundaries during the border merge's edge extraction: like-colored
-	// pixel pairs in the streaming band merge, adjacent run pairs in the
-	// resident engine.
+	// CtrBorderPairs counts raw adjacencies examined across band
+	// boundaries during the streaming band merge's edge extraction:
+	// like-colored pixel pairs.
 	CtrBorderPairs
 	// CtrBorderEdges counts deduplicated boundary union edges the border
 	// merge's extraction pass collected (the length of the edge list the
@@ -66,20 +67,14 @@ const (
 	// CtrBorderEdges is the work the dedup saved.
 	CtrBorderEdges
 	// CtrBorderLinks counts border unions that actually linked two
-	// distinct sets (strip components minus links = final components).
+	// distinct sets (band components minus links = final components).
 	CtrBorderLinks
-	// CtrUFFinds counts union-find find operations (border merge and
-	// final relabel together).
-	CtrUFFinds
 	// CtrRuns counts maximal foreground runs extracted by the run-based
 	// strip engine in binary mode.
 	CtrRuns
 	// CtrGreyRuns counts maximal equal-grey-level runs (segments)
 	// extracted by the run-based strip engine in grey mode.
 	CtrGreyRuns
-	// CtrRelabeledPixels counts pixels whose label the final update
-	// rewrote (pixels whose strip-local label was not already the root).
-	CtrRelabeledPixels
 	// CtrBands counts band windows the out-of-core streaming pipeline
 	// decoded and labeled (each pass over the image counts its own bands).
 	CtrBands
@@ -105,14 +100,10 @@ func (c Counter) String() string {
 		return "border_edges"
 	case CtrBorderLinks:
 		return "border_links"
-	case CtrUFFinds:
-		return "uf_finds"
 	case CtrRuns:
 		return "runs"
 	case CtrGreyRuns:
 		return "grey_runs"
-	case CtrRelabeledPixels:
-		return "relabeled_pixels"
 	case CtrBands:
 		return "bands"
 	case CtrCheckpoints:
@@ -131,7 +122,7 @@ func (c Counter) String() string {
 // empty. Summing the top-level spans of one kind reconstructs the run's
 // end-to-end time of that kind.
 type Phase struct {
-	// Name identifies the phase (e.g. "strip_label", "border_merge",
+	// Name identifies the phase (e.g. "strip_label", "relabel",
 	// "init", "merge[1]", "final_update").
 	Name string `json:"name"`
 	// Parent is the enclosing phase's name, empty for top-level phases.

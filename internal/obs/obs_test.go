@@ -15,12 +15,12 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.Add(CtrUFFinds, 5)
+	r.Add(CtrRuns, 5)
 	r.AddComm("transpose", 1, 10)
 	r.AddModelPhase("init", "", 1.0)
 	r.EndPhase("strip_label", "", r.StartPhase())
 	r.Reset()
-	if got := r.Counter(CtrUFFinds); got != 0 {
+	if got := r.Counter(CtrRuns); got != 0 {
 		t.Fatalf("nil recorder counter = %d", got)
 	}
 	m := r.Snapshot()
@@ -61,14 +61,14 @@ func TestCountersAccumulateConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.Add(CtrUFFinds, 1)
+				r.Add(CtrRuns, 1)
 				r.AddComm("transpose", 1, 4)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter(CtrUFFinds); got != 8000 {
-		t.Fatalf("uf_finds = %d, want 8000", got)
+	if got := r.Counter(CtrRuns); got != 8000 {
+		t.Fatalf("runs = %d, want 8000", got)
 	}
 	m := r.Snapshot()
 	if len(m.Comm) != 1 || m.Comm[0].Taus != 8000 || m.Comm[0].Words != 32000 {
@@ -167,12 +167,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 // TestReadsDocumentsWithRetiredFields pins that v1 documents written while
 // Metrics still carried the par strip-algorithm and merge-backend fields
-// (and the sv_rounds counter) stay readable and valid.
+// (and the retired sv_rounds, uf_finds and relabeled_pixels counters, and
+// the border_merge and cleanup phases) stay readable and valid.
 func TestReadsDocumentsWithRetiredFields(t *testing.T) {
 	doc := `{"schema": "parimg-metrics/v1", "command": "imgcc", "backend": "par",
 		"algo": "runs", "merge": "sv", "workers": 4, "total_ns": 10,
-		"phases": [{"name": "border_merge", "wall_ns": 5}],
-		"counters": {"sv_rounds": 3, "border_edges": 96}}`
+		"phases": [{"name": "border_merge", "wall_ns": 5}, {"name": "cleanup", "wall_ns": 1}],
+		"counters": {"sv_rounds": 3, "border_edges": 96, "uf_finds": 7, "relabeled_pixels": 9}}`
 	path := filepath.Join(t.TempDir(), "old.json")
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
@@ -181,7 +182,7 @@ func TestReadsDocumentsWithRetiredFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old document rejected: %v", err)
 	}
-	if m.Workers != 4 || m.Counters["border_edges"] != 96 {
+	if m.Workers != 4 || m.Counters["border_edges"] != 96 || m.Counters["uf_finds"] != 7 {
 		t.Fatalf("old document misread: %+v", m)
 	}
 }
@@ -199,8 +200,7 @@ func TestSnapshotIsIndependentCopy(t *testing.T) {
 func TestCounterNamesAreStable(t *testing.T) {
 	names := CounterNames()
 	want := []string{"bands", "border_edges", "border_links", "border_pairs",
-		"checkpoints", "grey_runs", "relabeled_pixels", "resume_band", "runs",
-		"strip_components", "uf_finds"}
+		"checkpoints", "grey_runs", "resume_band", "runs", "strip_components"}
 	if len(names) != len(want) {
 		t.Fatalf("counter names = %v", names)
 	}
@@ -220,7 +220,7 @@ func TestSchemaFieldNamesAreStable(t *testing.T) {
 	m := Metrics{
 		Schema: Schema, Command: "imgcc", Backend: "par", TotalNS: 1,
 		Phases:   []Phase{{Name: "p", WallNS: 1}},
-		Counters: map[string]int64{"uf_finds": 1},
+		Counters: map[string]int64{"runs": 1},
 		Comm:     []CommStat{{Name: "transpose", Taus: 1, Words: 2}},
 	}
 	data, err := json.Marshal(&m)

@@ -10,17 +10,18 @@ import (
 
 // Allocation budgets for steady-state Engine.LabelIntoContext calls after one
 // warm-up. A single-worker engine reuses every piece of scratch and must
-// stay allocation-free; multi-worker engines pay only the per-phase
-// goroutine closures of parallelDo (a handful of small allocations per
-// phase), so the budget is a small multiple of the worker count.
+// stay allocation-free; multi-worker engines pay only for their goroutines
+// (the labeler's sub-slab steps and the paint workers, a handful of small
+// allocations each), so the budget is a small multiple of the worker count.
 const (
 	allocBudget1W = 0
-	allocBudgetNW = 16 // per worker: 4 phases x closure + waitgroup slack
+	allocBudgetNW = 16 // per worker: 3 goroutine rounds x closure + waitgroup slack
 )
 
 // TestLabelIntoAllocs pins the steady-state allocation cost of repeated
-// labelings of the run engine with the tree border merge, mirroring the
-// simulator alloc work so the engine cannot silently regress it.
+// labelings of the run engine, mirroring the simulator alloc work so the
+// engine cannot silently regress it. (The "/tree" suffix of the subtest
+// names is kept so their IDs stay stable.)
 func TestLabelIntoAllocs(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 128)
 	out := image.NewLabels(128)

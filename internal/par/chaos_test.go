@@ -46,7 +46,6 @@ func TestInjectedPanicEveryPhase(t *testing.T) {
 		run        func(e *Engine) error
 	}{
 		{"strip_label", "runs/auto", nil},
-		{"border_merge", "runs/auto", nil},
 		{"relabel", "runs/auto", nil},
 		{"tally", "auto/auto", histogram},
 		{"tree_merge", "auto/auto", histogram},
@@ -180,10 +179,11 @@ func TestInjectedNoShowWithoutContextDegradesToPanic(t *testing.T) {
 }
 
 // TestScrubRestoresUnionFind checks the "no partial writes" guarantee at its
-// weakest point: a panic between border_merge and relabel leaves the
-// concurrent union-find full of unites whose dirty lists are untrustworthy.
-// The scrub must wipe it back to the all-zero ready state, or the next run
-// inherits stale parents and mislabels.
+// weakest point: a panic in one paint worker after the run forest is
+// resolved leaves a half-painted output and a fully built labeler behind.
+// The next run must rebuild from scratch and label exactly. (The name
+// predates the removal of the engine's separate union-find scrub; it is
+// kept so the test ID stays stable.)
 func TestScrubRestoresUnionFind(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.ConcentricCircles, 128)
@@ -192,10 +192,32 @@ func TestScrubRestoresUnionFind(t *testing.T) {
 	if _, err := labelCtx(nil, e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
-	for i, v := range e.uf.parent {
-		if v != 0 {
-			t.Fatalf("uf.parent[%d] = %d after scrub, want 0", i, v)
-		}
+	requireCleanAfterFault(t, e, im)
+}
+
+// TestInjectedFaultsOnOneWorker pins that a 1-worker engine runs its
+// labeling under the same fault sites and guard as a multi-worker one: an
+// injected panic at strip_label rank 0 comes back as ErrAborted wrapping
+// the fault, a no-show there is released by the deadline as ErrDeadline,
+// and the engine labels exactly afterwards.
+func TestInjectedFaultsOnOneWorker(t *testing.T) {
+	leakcheck.Check(t)
+	im := image.Generate(image.DualSpiral, 64)
+	e := NewEngine(1)
+
+	e.SetFaultInjector(fault.New(1, fault.Panic, 1).At("strip_label").OnRank(0))
+	_, err := labelCtx(nil, e, im, image.Conn8, seq.Binary)
+	var inj *fault.Injected
+	if !errors.Is(err, errs.ErrAborted) || !errors.As(err, &inj) || inj.Site.Name != "strip_label" {
+		t.Fatalf("panic at strip_label: err = %v, want ErrAborted wrapping the injected fault", err)
+	}
+	requireCleanAfterFault(t, e, im)
+
+	e.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("strip_label").OnRank(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := labelCtx(ctx, e, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrDeadline) {
+		t.Fatalf("no-show at strip_label: err = %v, want ErrDeadline", err)
 	}
 	requireCleanAfterFault(t, e, im)
 }

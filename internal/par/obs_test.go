@@ -11,8 +11,8 @@ import (
 
 // TestLabelRecordsPhasesAndCounters verifies the measured side of the
 // observability layer: with a recorder installed, LabelIntoContext reports the
-// wall-clock phases of the strip algorithm and operation counts consistent
-// with the labeling it produced.
+// wall-clock phases of the labeling (strip_label, relabel) and operation
+// counts consistent with the labeling it produced, at any worker count.
 func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 64)
 	out := image.NewLabels(64)
@@ -27,11 +27,7 @@ func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			want := []string{"strip_label"}
-			if w > 1 {
-				want = append(want, "border_merge", "relabel", "cleanup")
-			}
-			for _, name := range want {
+			for _, name := range []string{"strip_label", "relabel"} {
 				found := false
 				for _, ph := range m.Phases {
 					if ph.Name == name {
@@ -45,19 +41,8 @@ func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 					t.Errorf("phase %s not recorded (got %+v)", name, m.Phases)
 				}
 			}
-			if got := m.Counters["strip_components"]; got < int64(comps) {
-				t.Errorf("strip_components = %d, want >= %d", got, comps)
-			}
-			if w > 1 {
-				stripComps := m.Counters["strip_components"]
-				links := m.Counters["border_links"]
-				if int(stripComps-links) != comps {
-					t.Errorf("components: strips %d - links %d != %d",
-						stripComps, links, comps)
-				}
-				if m.Counters["uf_finds"] == 0 {
-					t.Error("uf_finds not counted")
-				}
+			if got := m.Counters["strip_components"]; got != int64(comps) {
+				t.Errorf("strip_components = %d, want %d", got, comps)
 			}
 			if m.Counters["runs"] == 0 {
 				t.Error("runs not counted on the run engine")

@@ -6,30 +6,30 @@
 // modeled measurements.
 //
 // The decomposition mirrors the paper's divide and conquer, mapped onto
-// shared memory the way modern multicore CCL work does (Gupta et al.;
-// Liu-Tarjan):
+// shared memory the way modern multicore CCL work does (Gupta et al.'s
+// parallel scan-then-merge):
 //
-//   - Labeling: the image is split into one horizontal strip per worker
-//     (contiguous in the row-major pixel array, so strips are labeled in
-//     place with no scatter/gather). Each worker run-labels its strip —
-//     maximal foreground (or equal-grey-level) runs, a strip-local
-//     union-find over runs — with globally unique seed labels (global
-//     row-major index + 1). The strip-boundary merge problem is then
-//     resolved with a concurrent union-find over the border graph — each
-//     worker unites the labels of adjacent like-colored runs across one
-//     boundary — and a final parallel sweep over the runs relabels every
-//     pixel to its set's root. Unite-by-minimum makes the root the
-//     component's minimum seed label, so the result is pixel-for-pixel
-//     identical to seq.LabelBFS, not merely equivalent up to renaming.
+//   - Labeling: one seq.BandLabeler takes the whole image as its slab and
+//     splits it into one row range per worker (contiguous in the
+//     row-major pixel array, so nothing is scattered or gathered). Each
+//     worker packs its rows and extracts their maximal foreground (or
+//     equal-grey-level) runs, united by minimum in one run union-find;
+//     the seams between row ranges are then united run against run — only
+//     border state moves, as in the paper's merge — and the forest is
+//     flattened. Seeds are the global row-major index + 1, so every root
+//     carries its component's minimum seed, and a final parallel paint
+//     writes each row range's runs with their roots' seeds. The result is
+//     pixel-for-pixel identical to seq.LabelBFS at any worker count, not
+//     merely equivalent up to renaming.
 //
 //   - Histogramming: per-worker tallies of each strip into sharded k-bucket
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
 //     the shared-memory analogue of the paper's Section 4 transpose+combine.
 //
-// An Engine owns all scratch (a slab labeler per worker, the union-find
-// parent array, histogram shards) and reuses it across calls; the
-// package-level LabelContext and HistogramContext rent engines from a Pool
-// and are safe for concurrent use.
+// An Engine owns all scratch (the labeler's planes and run tables,
+// histogram shards) and reuses it across calls; the package-level
+// LabelContext and HistogramContext rent engines from a Pool and are safe
+// for concurrent use.
 package par
 
 import (
@@ -53,18 +53,13 @@ import (
 // HistogramIntoContext. An Engine is not safe for concurrent use; the
 // package functions LabelContext and HistogramContext pool engines and are.
 type Engine struct {
-	workers  int
-	obs      *obs.Recorder     // metrics recorder; nil disables all accounting
-	labelers []seq.BandLabeler // per-worker strip labeler: packed plane, run table, run union-find
-	uf       cuf               // border-merge union-find (labels -> roots)
-	dirty    [][]uint32        // per-worker boundary edge slabs, doubling as union-find entries to clear
-	comps    []int             // per-worker strip component counts
-	links    []int             // per-worker cross-border merge counts
-	pairs    []int64           // per-worker boundary adjacency counts (pre-dedup)
-	finds    []int64           // per-worker union-find find calls (final update)
-	relab    []int64           // per-worker pixels rewritten in the final update
-	shards   [][]int64         // per-worker histogram tallies
-	errs     []error           // per-worker tally errors
+	workers int
+	obs     *obs.Recorder   // metrics recorder; nil disables all accounting
+	bl      seq.BandLabeler // the labeler: packed plane, run table, run union-find
+	out     *image.Labels   // the labeling being painted; nil outside a call
+	paint   func(w int)     // paintRows, bound once so a call allocates no closure
+	shards  [][]int64       // per-worker histogram tallies
+	errs    []error         // per-worker tally errors
 
 	// Lifecycle state. callMu is held for the duration of every
 	// Label/Histogram call (begin locks it, end releases it), which is what
@@ -94,19 +89,14 @@ func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		workers:  workers,
-		labelers: make([]seq.BandLabeler, workers),
-		dirty:    make([][]uint32, workers),
-		comps:    make([]int, workers),
-		links:    make([]int, workers),
-		pairs:    make([]int64, workers),
-		finds:    make([]int64, workers),
-		relab:    make([]int64, workers),
-		shards:   make([][]int64, workers),
-		errs:     make([]error, workers),
-		wpanic:   make([]error, workers),
+	e := &Engine{
+		workers: workers,
+		shards:  make([][]int64, workers),
+		errs:    make([]error, workers),
+		wpanic:  make([]error, workers),
 	}
+	e.paint = e.paintRows
+	return e
 }
 
 // Workers returns the engine's worker count.
@@ -336,7 +326,7 @@ func (e *Engine) checkFault(site string, w, round int) {
 	}
 }
 
-// stopFlag returns the flag the strip labelers and merge loops poll for
+// stopFlag returns the flag the labeler and the paint workers poll for
 // cooperative cancellation: the engine's stop flag for interruptible runs,
 // nil (free) otherwise.
 func (e *Engine) stopFlag() *atomic.Bool {
@@ -355,8 +345,8 @@ func (e *Engine) stopFlag() *atomic.Bool {
 // goroutine, which is what lets a leak checker assert quiescence right
 // after Close returns. A non-interruptible in-flight call (no context, no
 // injector) never polls the flag and simply runs to completion; Close
-// waits for it. While draining, the engine's heavy scratch (the per-worker
-// labelers' planes and run tables, the union-find) is released to the
+// waits for it. While draining, the engine's heavy scratch (the labeler's
+// planes and run tables, the histogram shards) is released to the
 // collector.
 // Idempotent and safe to call concurrently with Label/Histogram; always
 // returns nil.
@@ -367,12 +357,10 @@ func (e *Engine) Close() error {
 	e.stop.Store(true)
 	e.callMu.Lock()
 	// Drop the arena-sized scratch while we hold the mutex: the engine can
-	// never run again, so the labelers, union-find and per-worker state are
-	// dead weight a pooled deployment should not keep pinned.
-	e.uf = cuf{}
-	for i := range e.labelers {
-		e.labelers[i] = seq.BandLabeler{}
-		e.dirty[i] = nil
+	// never run again, so the labeler and the histogram shards are dead
+	// weight a pooled deployment should not keep pinned.
+	e.bl = seq.BandLabeler{}
+	for i := range e.shards {
 		e.shards[i] = nil
 	}
 	e.obs = nil

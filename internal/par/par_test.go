@@ -10,9 +10,10 @@ import (
 	"parimg/internal/seq"
 )
 
-// workerCounts exercises the sequential fast path, even and odd strip
-// splits, and more workers than image rows.
-var workerCounts = []int{1, 2, 3, 4, 7, 64}
+// workerCounts exercises one worker, even and odd row-range splits, one
+// row per worker on the 64-row catalog images, and more workers than
+// image rows.
+var workerCounts = []int{1, 2, 3, 4, 7, 64, 65}
 
 // label labels im into a fresh labeling on e, failing the test on error.
 func label(t testing.TB, e *Engine, im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
@@ -64,9 +65,9 @@ func requireIdentical(t *testing.T, got, want *image.Labels, ctx string) {
 	}
 }
 
-// TestLabelMatchesSequentialCatalog checks the engine against the
-// sequential reference on all nine Figure 1 patterns x {Conn4, Conn8} x
-// {Binary, Grey} at several worker counts.
+// TestLabelMatchesSequentialCatalog is the pixel-identity pin: every
+// connectivity x mode x worker split must reproduce seq.LabelBFS exactly
+// on the nine Figure 1 patterns.
 func TestLabelMatchesSequentialCatalog(t *testing.T) {
 	for _, id := range image.AllPatterns() {
 		im := image.Generate(id, 64)
@@ -85,14 +86,17 @@ func TestLabelMatchesSequentialCatalog(t *testing.T) {
 }
 
 // TestLabelMatchesSequentialDARPA checks the engine on the grey-scale
-// benchmark scene.
+// benchmark scene in both modes and connectivities at every worker count.
 func TestLabelMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
-	for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
-		want := seq.LabelBFS(im, image.Conn8, mode)
-		e := NewEngine(4)
-		got := label(t, e, im, image.Conn8, mode)
-		requireIdentical(t, got, want, fmt.Sprintf("darpa/%v", mode))
+	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+		for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
+			want := seq.LabelBFS(im, conn, mode)
+			for _, w := range workerCounts {
+				got := label(t, NewEngine(w), im, conn, mode)
+				requireIdentical(t, got, want, fmt.Sprintf("darpa/%v/%v/workers=%d", conn, mode, w))
+			}
+		}
 	}
 }
 
@@ -112,7 +116,7 @@ func TestLabelRandomAndTiny(t *testing.T) {
 }
 
 // TestEngineReuse runs one engine across differing sizes and modes to prove
-// the scratch (union-find, queues, dirty lists) resets correctly.
+// the scratch (planes, run table, run union-find) resets correctly.
 func TestEngineReuse(t *testing.T) {
 	e := NewEngine(4)
 	cases := []struct {
@@ -240,39 +244,4 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestUnionFind exercises the concurrent union-find directly: concurrent
-// unites over a chain must produce one set rooted at the minimum.
-func TestUnionFind(t *testing.T) {
-	var u cuf
-	u.reset(1 << 12)
-	const chain = 1000
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := uint32(1); i < chain; i++ {
-				u.Unite(i, i+1)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for i := uint32(1); i <= chain; i++ {
-		if r := u.find(i); r != 1 {
-			t.Fatalf("find(%d) = %d, want 1", i, r)
-		}
-	}
-	// clear restores the ready state.
-	dirty := make([]uint32, 0, 2*chain)
-	for i := uint32(1); i <= chain; i++ {
-		dirty = append(dirty, i)
-	}
-	u.clear(dirty)
-	for i := uint32(1); i <= chain; i++ {
-		if r := u.find(i); r != i {
-			t.Fatalf("after clear: find(%d) = %d", i, r)
-		}
-	}
 }

@@ -6,107 +6,62 @@ import (
 	"parimg/internal/seq"
 )
 
-// runLabelInto is the strip engine, for both modes: each worker run-labels
-// its strip with its own seq.BandLabeler — maximal foreground runs in
-// Binary mode, equal-grey-level runs in Grey mode, united by a strip-local
-// union-find over runs with unite-by-minimum and painted with span writes
-// lifted to global labels. Phase 2 walks the boundary pixel rows of
-// adjacent strips (AppendBoundaryEdges, the seam the streaming pipeline
-// merges its bands with) and resolves the edges in the concurrent
-// union-find; Phase 3 walks each strip's run table — one find and one
-// span write per run — and Phase 4 clears the touched union-find entries.
+// runLabelInto is the resident labeling driver, for every worker count and
+// both modes. Phase strip_label hands the whole image to the engine's
+// seq.BandLabeler, which splits it into one row-range sub-slab per worker,
+// extracts and unites each sub-slab's runs — maximal foreground runs in
+// Binary mode, equal-grey-level runs in Grey mode — on a worker of its
+// own, unites the seams between sub-slabs run against run and flattens the
+// run forest. Phase relabel paints the same row ranges in parallel, one
+// span write per run with its root's seed.
 //
 // Exactness: a run's seed label is the global row-major index of its first
-// pixel plus one, and the minimum-index pixel of any component fragment
-// starts a run (its left neighbor is background — or, in grey mode, a
-// different grey level — or would precede it in the same run), so
-// unite-by-minimum roots every fragment at exactly the label the row-major
-// BFS assigns. The result is therefore pixel-for-pixel identical to
-// seq.LabelBFS, not merely equivalent up to renaming.
+// pixel plus one (the slab is the image, so the labeler's slab-local seeds
+// are already global), and the minimum-index pixel of any component starts
+// a run (its left neighbor is background — or, in grey mode, a different
+// grey level — or would precede it in the same run), so unite-by-minimum
+// roots every component at exactly the label the row-major BFS assigns.
+// The result is therefore pixel-for-pixel identical to seq.LabelBFS, not
+// merely equivalent up to renaming.
 func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq.Mode,
 	out *image.Labels) int {
 	n := im.N
-	W := e.stripCount(n)
-
-	if W == 1 {
-		// Single strip: no borders to merge, and no parallelDo closure
-		// to allocate — the whole call is allocation-free at steady state
-		// (the phase marks are nil-safe no-ops with metrics disabled).
-		t0 := e.obs.StartPhase()
-		comps := e.labelers[0].Label(im.Pix, n, n, conn, mode, out.Lab)
-		e.obs.EndPhase("strip_label", "", t0)
-		e.obs.Add(obs.CtrStripComponents, int64(comps))
-		e.obs.Add(runCounter(mode), int64(len(e.labelers[0].Runs())/2))
-		return comps
-	}
-
-	// Phase 1 — each worker packs and run-labels the rows of its strip in
-	// its own labeler: extraction, vertical unites and the paint pass all
-	// happen strip-locally, with seeds lifted by the strip's first pixel
-	// index into global labels.
+	var comps int
 	e.phase("strip_label", func() {
-		e.parallelDo(W, func(w int) {
-			e.checkFault("strip_label", w, 1)
-			r0, r1 := stripBounds(w, W, n)
-			e.comps[w] = e.labelers[w].LabelAt(im.Pix[r0*n:r1*n], r1-r0, n, uint32(r0*n),
-				conn, mode, out.Lab[r0*n:r1*n])
-		})
+		e.guard(0, func(int) { comps = e.bl.Resolve(im.Pix, n, n, conn, mode) })
 	})
 	if e.interrupted() {
 		return 0
 	}
-
-	e.phase("border_merge", func() {
-		e.borderMerge(im, out, conn, mode, W)
-	})
+	e.out = out
+	e.phase("relabel", func() { e.parallelDo(e.stripCount(n), e.paint) })
+	e.out = nil
 	if e.interrupted() {
 		return 0
 	}
-
-	// Phase 3 — final update over runs: a run is uniformly labeled, so one
-	// find on its painted label and one span rewrite (only when the root
-	// moved) replace a per-pixel sweep. Background costs nothing — it has
-	// no runs.
-	e.phase("relabel", func() {
-		e.parallelDo(W, func(w int) {
-			e.checkFault("relabel", w, 1)
-			r0, _ := stripBounds(w, W, n)
-			runs := e.labelers[w].Runs()
-			rowOff := e.labelers[w].RowOffsets()
-			var finds, relab int64
-			for i := 0; i+1 < len(rowOff); i++ {
-				if i&63 == 0 && e.cancelable && e.stop.Load() {
-					return
-				}
-				rowBase := (r0 + i) * n
-				for k := rowOff[i]; k < rowOff[i+1]; k += 2 {
-					s, end := runs[k], runs[k+1]
-					l := out.Lab[rowBase+int(s)]
-					finds++
-					if r := e.uf.find(l); r != l {
-						seq.Fill32(out.Lab[rowBase+int(s):rowBase+int(end)], r)
-						relab += int64(end - s)
-					}
-				}
-			}
-			e.finds[w] = finds
-			e.relab[w] = relab
-		})
-	})
-
-	if e.interrupted() {
-		return 0
-	}
-	comps := e.finish(W)
-	if e.obs != nil {
-		var runs int64
-		for w := 0; w < W; w++ {
-			runs += int64(len(e.labelers[w].Runs()) / 2)
-		}
-		e.obs.Add(runCounter(mode), runs)
-	}
+	e.obs.Add(obs.CtrStripComponents, int64(comps))
+	e.obs.Add(runCounter(mode), int64(len(e.bl.Runs())/2))
 	return comps
 }
+
+// paintRows is relabel worker w: it paints the rows of row range w — the
+// labeler's sub-slab w — of the labeling in flight, e.out, from the flat
+// run forest. Rows are independent, so the workers share nothing.
+func (e *Engine) paintRows(w int) {
+	e.checkFault("relabel", w, 1)
+	n, lab := e.out.N, e.out.Lab
+	r0, r1 := stripBounds(w, e.stripCount(n), n)
+	for i := r0; i < r1; i++ {
+		if (i-r0)&63 == 0 && e.cancelable && e.stop.Load() {
+			return
+		}
+		e.bl.PaintRow(i, lab[i*n:(i+1)*n])
+	}
+}
+
+// stripFault is the strip_label fault checkpoint, which the labeler runs
+// on each sub-slab's goroutine with rank = sub-slab index.
+func (e *Engine) stripFault(sub int) { e.checkFault("strip_label", sub, 1) }
 
 // runCounter returns the obs counter that tallies extracted runs for the
 // mode: binary foreground runs and grey equal-level runs are reported

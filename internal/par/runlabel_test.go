@@ -9,34 +9,6 @@ import (
 	"parimg/internal/seq"
 )
 
-// TestRunLabelMatchesSequentialCatalog checks the run engine against the sequential reference on all nine Figure 1 patterns x
-// {Conn4, Conn8} at several worker counts — exact array compare.
-func TestRunLabelMatchesSequentialCatalog(t *testing.T) {
-	for _, id := range image.AllPatterns() {
-		im := image.Generate(id, 64)
-		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
-			want := seq.LabelBFS(im, conn, seq.Binary)
-			for _, w := range workerCounts {
-				got := label(t, NewEngine(w), im, conn, seq.Binary)
-				requireIdentical(t, got, want,
-					fmt.Sprintf("runs/%v/%v/workers=%d", id, conn, w))
-			}
-		}
-	}
-}
-
-// TestRunLabelMatchesSequentialDARPA checks the run engine on the DARPA
-// benchmark scene in binary mode (every nonzero grey level is foreground),
-// both connectivities.
-func TestRunLabelMatchesSequentialDARPA(t *testing.T) {
-	im := image.DARPASynthetic()
-	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
-		want := seq.LabelBFS(im, conn, seq.Binary)
-		got := label(t, NewEngine(4), im, conn, seq.Binary)
-		requireIdentical(t, got, want, fmt.Sprintf("runs/darpa/%v", conn))
-	}
-}
-
 // TestGreyRunsMatchesBFS proves the grey run engine behaviorally: touching
 // bars of different colors are one binary component but two grey
 // components, so correct grey output requires the run table to carry grey
@@ -120,7 +92,7 @@ func TestGreyRunsWideLevels(t *testing.T) {
 }
 
 // TestRunEngineReuseAndInto runs one engine across sizes and dirty
-// outputs to prove the run scratch (bitplane, run tables, union-find)
+// outputs to prove the run scratch (bitplane, run table, run union-find)
 // resets correctly between calls.
 func TestRunEngineReuseAndInto(t *testing.T) {
 	e := NewEngine(4)

@@ -8,27 +8,23 @@ import (
 )
 
 // BandLabeler run-labels rectangular rows x cols slabs of a row-major
-// pixel buffer — the unit of work of both labeling drivers: the strips of
-// the host-parallel engine (internal/par), one labeler per worker, and the
-// bands of the out-of-core streaming pipeline (internal/stream), which
-// decodes one horizontal band of a taller-than-resident image at a time.
-// It owns the packed plane, the flat run table, per-run grey values and
-// seed labels, and the run union-find, and reuses them across slabs, so a
-// steady-state slab loop on one worker allocates nothing (more workers
-// cost a few allocations per slab for their goroutines). The run table
-// stays alive
+// pixel buffer — the unit of work of both labeling drivers: the whole
+// image of the host-parallel engine (internal/par), which splits it into
+// one row-range sub-slab per worker (SetWorkers), and the bands of the
+// out-of-core streaming pipeline (internal/stream), which decodes one
+// horizontal band of a taller-than-resident image at a time. It owns the
+// packed plane, the flat run table, per-run grey values and seed labels,
+// and the run union-find, and reuses them across slabs, so a steady-state
+// slab loop on one worker allocates nothing (more workers cost a few
+// allocations per slab for their goroutines). The run table stays alive
 // after Resolve/Label so a caller can revisit the slab's runs (the
-// parallel engine's final relabel pass does). The zero value is ready to
-// use; an instance is not safe for concurrent use.
+// parallel engine paints from it row range by row range). The zero value
+// is ready to use; an instance is not safe for concurrent use.
 //
-// Seed labels are slab-local: the slab-row-major index plus one. A caller
-// lifts them into its global label space by adding the slab's base offset
-// — the global index of the slab's first pixel — so the slab-local seed
-// of a pixel plus the base is the pixel's global row-major index plus one,
-// and slabs labeled independently carry globally unique labels. The
-// parallel engine lifts at paint time (LabelAt); the streaming pipeline
-// lifts into 64 bits itself, since a streamed image may exceed 2^32
-// pixels.
+// Seed labels are slab-local: the slab-row-major index plus one. For the
+// parallel engine the slab is the image, so they are already global; the
+// streaming pipeline lifts them into its 64-bit global space by adding
+// the band's base offset, since a streamed image may exceed 2^32 pixels.
 type BandLabeler struct {
 	runs   []int32  // flat (start, end) column pairs, rows concatenated
 	rowOff []int32  // rowOff[i] = offset into runs of row i's pairs; len rows+1
@@ -36,6 +32,7 @@ type BandLabeler struct {
 	seed   []uint32 // per-run slab-local seed label
 	parent []int32  // run union-find; flat (every run at its root) after Resolve
 	stop   *atomic.Bool
+	hook   func(sub int)
 	bp     image.Bitplane
 	bytep  image.Byteplane
 
@@ -54,6 +51,7 @@ type BandLabeler struct {
 // subSlab is one row range [r0, r1) of a Resolve and what its worker
 // reports back.
 type subSlab struct {
+	index    int
 	r0, r1   int
 	wide     bool // grey levels above a byte: runs come from pix, not the byteplane
 	cut      bool // the stop flag cut this sub-slab's rows short
@@ -65,6 +63,14 @@ type subSlab struct {
 // polled once per row by the scan: once set, Resolve and Label return 0
 // early and paint nothing. nil (the default) costs nothing.
 func (b *BandLabeler) SetStop(stop *atomic.Bool) { b.stop = stop }
+
+// SetHook installs (or, with nil, removes) a callback that Resolve runs
+// once per sub-slab, on that sub-slab's goroutine, before it packs its
+// first row; sub is the sub-slab's index, 0 for the topmost. A panic in
+// the hook is handled like any sub-slab panic: the siblings stop and the
+// panic is re-raised on the calling goroutine. The parallel engine plants
+// its injected faults here. nil (the default) costs nothing.
+func (b *BandLabeler) SetHook(hook func(sub int)) { b.hook = hook }
 
 // SetWorkers sets how many row-range sub-slabs Resolve splits a slab into
 // and labels concurrently: w goroutines (the calling one among them), at
@@ -154,7 +160,7 @@ func (b *BandLabeler) split(rows int) {
 	n := max(1, min(b.workers, rows))
 	b.slabs = resize(b.slabs, n)
 	for s := range b.slabs {
-		b.slabs[s] = subSlab{r0: s * rows / n, r1: (s + 1) * rows / n}
+		b.slabs[s] = subSlab{index: s, r0: s * rows / n, r1: (s + 1) * rows / n}
 	}
 	b.abort.Store(false)
 }
@@ -214,9 +220,12 @@ func (b *BandLabeler) stopped() bool {
 	return b.abort.Load() || b.stop != nil && b.stop.Load()
 }
 
-// count is step 1 for one sub-slab: pack each row, then store twice its
-// run count (its length in runs) at rowOff[i+1].
+// count is step 1 for one sub-slab: run the hook, then pack each row
+// and store twice its run count (its length in runs) at rowOff[i+1].
 func (b *BandLabeler) count(sl *subSlab) {
+	if b.hook != nil {
+		b.hook(sl.index)
+	}
 	for i := sl.r0; i < sl.r1; i++ {
 		if b.stopped() {
 			sl.cut = true
@@ -293,47 +302,39 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Label is LabelAt with base 0: the slab's labels are its slab-local
-// seeds.
-func (b *BandLabeler) Label(pix []uint32, rows, cols int, conn image.Connectivity,
-	mode Mode, lab []uint32) int {
-	return b.LabelAt(pix, rows, cols, 0, conn, mode, lab)
-}
-
-// LabelAt is Resolve followed by a paint of the whole slab into lab, the
-// rows*cols label plane: every run gets its root's seed plus base, and
+// Label is Resolve followed by a paint of the whole slab into lab, the
+// rows*cols label plane: every run gets its root's slab-local seed, and
 // background gaps are cleared in the same sweep (lab need not be
 // pre-zeroed). Returns the slab's component count. A scan cut short by the
 // stop flag paints nothing and returns 0.
-func (b *BandLabeler) LabelAt(pix []uint32, rows, cols int, base uint32,
-	conn image.Connectivity, mode Mode, lab []uint32) int {
+func (b *BandLabeler) Label(pix []uint32, rows, cols int, conn image.Connectivity,
+	mode Mode, lab []uint32) int {
 	comps, ok := b.resolve(pix, rows, cols, conn, mode)
 	if ok {
 		for i := 0; i < rows; i++ {
-			b.paintRow(i, base, lab[i*cols:(i+1)*cols])
+			b.PaintRow(i, lab[i*cols:(i+1)*cols])
 		}
 	}
 	return comps
 }
 
 // PaintRow paints slab row i of the last Resolve into dst (length cols):
-// each run gets its root's slab-local seed, background gets 0. It is how
-// the streaming pipeline materializes only the two seam rows of a band.
-func (b *BandLabeler) PaintRow(i int, dst []uint32) { b.paintRow(i, 0, dst) }
-
-// paintRow paints slab row i into row with seeds lifted by base: a span
-// write per run instead of a store per pixel, background zeroed between
-// runs. The union-find must be flat (resolve completed).
-func (b *BandLabeler) paintRow(i int, base uint32, row []uint32) {
+// each run gets its root's slab-local seed, background gets 0 — a span
+// write per run instead of a store per pixel. The union-find must be flat
+// (Resolve completed). Rows are independent, so disjoint rows may be
+// painted concurrently: the parallel engine paints its row ranges on all
+// workers, and the streaming pipeline materializes only the two seam rows
+// of a band.
+func (b *BandLabeler) PaintRow(i int, dst []uint32) {
 	lo, hi := b.rowOff[i]/2, b.rowOff[i+1]/2
 	col := int32(0)
 	for k := lo; k < hi; k++ {
 		s, e := b.runs[2*k], b.runs[2*k+1]
-		zero32(row[col:s])
-		Fill32(row[s:e], b.seed[b.parent[k]]+base)
+		zero32(dst[col:s])
+		Fill32(dst[s:e], b.seed[b.parent[k]])
 		col = e
 	}
-	zero32(row[col:])
+	zero32(dst[col:])
 }
 
 // ComponentSizes returns, in dst (grown as needed), the pixel count of

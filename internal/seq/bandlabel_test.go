@@ -256,7 +256,7 @@ func TestBandResolveStopsMidResolve(t *testing.T) {
 		for i := range lab {
 			lab[i] = 0xdead
 		}
-		return bl.LabelAt(im.Pix, n, n, 0, image.Conn8, Binary, lab)
+		return bl.Label(im.Pix, n, n, image.Conn8, Binary, lab)
 	}
 	unpainted := func() bool {
 		for _, v := range lab {

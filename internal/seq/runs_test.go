@@ -164,10 +164,11 @@ func TestBandLabelerStripComponents(t *testing.T) {
 	}
 }
 
-// TestLabelAtClearsGaps checks that LabelAt zeroes stale background
-// without a separate clear pass and lifts every label by the base: a
-// lower strip of an image, labeled with base r0*n, carries the global
-// row-major seeds a BFS of the strip assigns, in both modes.
+// TestLabelAtClearsGaps checks that Label zeroes stale background
+// without a separate clear pass: a lower strip of an image, labeled as a
+// slab of its own, carries the slab-local row-major seeds a BFS of the
+// strip assigns, in both modes. (The name predates the lifting LabelAt
+// variant, which is gone; it is kept so the test ID stays stable.)
 func TestLabelAtClearsGaps(t *testing.T) {
 	const n, r0, r1 = 40, 13, 31
 	for _, c := range []struct {
@@ -180,23 +181,24 @@ func TestLabelAtClearsGaps(t *testing.T) {
 		pix := c.im.Pix[r0*n : r1*n]
 		want := make([]uint32, len(pix))
 		wantComps, _ := TileLabeler(pix, r1-r0, n, image.Conn4, c.mode,
-			func(i, j int) uint32 { return uint32((r0+i)*n+j) + 1 }, want, nil)
+			func(i, j int) uint32 { return uint32(i*n+j) + 1 }, want, nil)
 		lab := make([]uint32, len(pix))
 		for i := range lab {
 			lab[i] = 0xdeadbeef
 		}
 		var bl BandLabeler
-		if comps := bl.LabelAt(pix, r1-r0, n, r0*n, image.Conn4, c.mode, lab); comps != wantComps {
+		if comps := bl.Label(pix, r1-r0, n, image.Conn4, c.mode, lab); comps != wantComps {
 			t.Errorf("%v: %d components, want %d", c.mode, comps, wantComps)
 		}
 		if !slices.Equal(lab, want) {
-			t.Errorf("%v: LabelAt plane differs from the lifted BFS labeling", c.mode)
+			t.Errorf("%v: Label plane differs from the BFS labeling of the strip", c.mode)
 		}
 	}
 }
 
 // TestLabelAtStoppedPaintsNothing checks that a scan cut short by the stop
-// flag leaves the label plane untouched and reports no components.
+// flag leaves the label plane untouched and reports no components. (The
+// name is kept from the gone LabelAt so the test ID stays stable.)
 func TestLabelAtStoppedPaintsNothing(t *testing.T) {
 	const n = 32
 	var stop atomic.Bool
@@ -209,12 +211,12 @@ func TestLabelAtStoppedPaintsNothing(t *testing.T) {
 		}
 		var bl BandLabeler
 		bl.SetStop(&stop)
-		if comps := bl.LabelAt(im.Pix, n, n, 5, image.Conn8, mode, lab); comps != 0 {
-			t.Errorf("%v: stopped LabelAt reported %d components", mode, comps)
+		if comps := bl.Label(im.Pix, n, n, image.Conn8, mode, lab); comps != 0 {
+			t.Errorf("%v: stopped Label reported %d components", mode, comps)
 		}
 		for i, v := range lab {
 			if v != 7 {
-				t.Fatalf("%v: stopped LabelAt painted pixel %d", mode, i)
+				t.Fatalf("%v: stopped Label painted pixel %d", mode, i)
 			}
 		}
 	}

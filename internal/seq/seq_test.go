@@ -125,8 +125,8 @@ func TestThreeLabelersAgree(t *testing.T) {
 					im = image.RandomBinary(48, 0.55, seed)
 				}
 				a := LabelBFS(im, conn, mode)
-				b := LabelUnionFind(im, conn, mode)
-				c := LabelTwoPass(im, conn, mode)
+				b := labelUnionFind(im, conn, mode)
+				c := labelTwoPass(im, conn, mode)
 				for idx := range a.Lab {
 					if a.Lab[idx] != b.Lab[idx] {
 						t.Fatalf("%v %v seed=%d: BFS vs union-find differ at %d: %d vs %d",
@@ -147,7 +147,7 @@ func TestLabelersAgreeOnPatterns(t *testing.T) {
 		im := image.Generate(id, 64)
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			a := LabelBFS(im, conn, Binary)
-			b := LabelUnionFind(im, conn, Binary)
+			b := labelUnionFind(im, conn, Binary)
 			for idx := range a.Lab {
 				if a.Lab[idx] != b.Lab[idx] {
 					t.Fatalf("%v %v: BFS vs union-find differ at %d", id, conn, idx)
@@ -158,7 +158,7 @@ func TestLabelersAgreeOnPatterns(t *testing.T) {
 }
 
 func TestDisjointSetBasics(t *testing.T) {
-	d := NewDisjointSet(5)
+	d := newDisjointSet(5)
 	for i := int32(0); i < 5; i++ {
 		if d.Find(i) != i {
 			t.Fatalf("fresh set: Find(%d) = %d", i, d.Find(i))
@@ -188,7 +188,7 @@ func TestDisjointSetPropertyEquivalence(t *testing.T) {
 	// union operations: model with an explicit relation matrix.
 	f := func(ops []struct{ A, B uint8 }) bool {
 		const n = 16
-		d := NewDisjointSet(n)
+		d := newDisjointSet(n)
 		var rel [n][n]bool
 		for i := 0; i < n; i++ {
 			rel[i][i] = true
@@ -267,4 +267,186 @@ func TestFloodRelabel(t *testing.T) {
 	if visited.Seen(0) {
 		t.Error("Reset did not invalidate marks")
 	}
+}
+
+// The two baselines below exist only to cross-check LabelBFS: a
+// pixel-pair union-find labeler and the classic two-pass scanline
+// labeler, both canonicalized to LabelBFS's minimum-index labels.
+
+// disjointSet is a union-find structure with union by size and path
+// halving, used by the baseline labelers below.
+type disjointSet struct {
+	parent []int32
+	size   []int32
+}
+
+// newDisjointSet returns n singleton sets.
+func newDisjointSet(n int) *disjointSet {
+	d := &disjointSet{parent: make([]int32, n), size: make([]int32, n)}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+		d.size[i] = 1
+	}
+	return d
+}
+
+// Find returns the representative of x's set.
+func (d *disjointSet) Find(x int32) int32 {
+	for d.parent[x] != x {
+		d.parent[x] = d.parent[d.parent[x]] // path halving
+		x = d.parent[x]
+	}
+	return x
+}
+
+// Union merges the sets of a and b, returning the surviving root.
+func (d *disjointSet) Union(a, b int32) int32 {
+	ra, rb := d.Find(a), d.Find(b)
+	if ra == rb {
+		return ra
+	}
+	if d.size[ra] < d.size[rb] {
+		ra, rb = rb, ra
+	}
+	d.parent[rb] = ra
+	d.size[ra] += d.size[rb]
+	return ra
+}
+
+// forwardOffsets returns each undirected adjacency exactly once (the
+// neighbor positions after the current pixel in row-major order).
+func forwardOffsets(conn image.Connectivity) [][2]int {
+	if conn == image.Conn4 {
+		return [][2]int{{0, 1}, {1, 0}}
+	}
+	return [][2]int{{0, 1}, {1, -1}, {1, 0}, {1, 1}}
+}
+
+// labelUnionFind labels an image by unioning every adjacent connected pixel
+// pair, then canonicalizing each foreground pixel to the minimum global
+// index in its set plus one — the same canonical labels as LabelBFS, so
+// outputs are comparable with ==, not just up to renaming.
+func labelUnionFind(im *image.Image, conn image.Connectivity, mode Mode) *image.Labels {
+	n := im.N
+	d := newDisjointSet(n * n)
+	offs := forwardOffsets(conn)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			u := i*n + j
+			if im.Pix[u] == 0 {
+				continue
+			}
+			for _, dd := range offs {
+				vi, vj := i+dd[0], j+dd[1]
+				if vi < 0 || vi >= n || vj < 0 || vj >= n {
+					continue
+				}
+				v := vi*n + vj
+				if mode.Connected(im.Pix[u], im.Pix[v]) {
+					d.Union(int32(u), int32(v))
+				}
+			}
+		}
+	}
+	// Minimum global index per root; the first foreground pixel of each
+	// set in row-major order is that minimum.
+	min := make([]int32, n*n)
+	for i := range min {
+		min[i] = -1
+	}
+	for u := 0; u < n*n; u++ {
+		if im.Pix[u] == 0 {
+			continue
+		}
+		r := d.Find(int32(u))
+		if min[r] < 0 {
+			min[r] = int32(u)
+		}
+	}
+	out := image.NewLabels(n)
+	for u := 0; u < n*n; u++ {
+		if im.Pix[u] != 0 {
+			out.Lab[u] = uint32(min[d.Find(int32(u))]) + 1
+		}
+	}
+	return out
+}
+
+// labelTwoPass labels an image with the classic two-pass scanline algorithm
+// (Rosenfeld-Pfaltz style): the first pass assigns provisional labels from
+// already-scanned neighbors and records label equivalences; the second pass
+// resolves equivalences with union-find. Labels are canonicalized to the
+// minimum global index plus one, like LabelBFS. A third independent
+// baseline for cross-checking.
+func labelTwoPass(im *image.Image, conn image.Connectivity, mode Mode) *image.Labels {
+	n := im.N
+	prov := make([]int32, n*n) // provisional label per pixel, 0 = background
+	next := int32(1)
+	var eqA, eqB []int32 // recorded equivalences
+
+	// Backward neighbors (already scanned) for each connectivity.
+	var offs [][2]int
+	if conn == image.Conn4 {
+		offs = [][2]int{{-1, 0}, {0, -1}}
+	} else {
+		offs = [][2]int{{-1, -1}, {-1, 0}, {-1, 1}, {0, -1}}
+	}
+
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			u := i*n + j
+			if im.Pix[u] == 0 {
+				continue
+			}
+			first := int32(0)
+			for _, dd := range offs {
+				vi, vj := i+dd[0], j+dd[1]
+				if vi < 0 || vi >= n || vj < 0 || vj >= n {
+					continue
+				}
+				v := vi*n + vj
+				if !mode.Connected(im.Pix[u], im.Pix[v]) {
+					continue
+				}
+				if first == 0 {
+					first = prov[v]
+				} else if prov[v] != first {
+					eqA = append(eqA, first)
+					eqB = append(eqB, prov[v])
+				}
+			}
+			if first == 0 {
+				first = next
+				next++
+			}
+			prov[u] = first
+		}
+	}
+
+	d := newDisjointSet(int(next))
+	for i := range eqA {
+		d.Union(eqA[i], eqB[i])
+	}
+
+	// Canonical label: minimum global index per resolved class.
+	min := make([]int32, next)
+	for i := range min {
+		min[i] = -1
+	}
+	for u := 0; u < n*n; u++ {
+		if prov[u] == 0 {
+			continue
+		}
+		r := d.Find(prov[u])
+		if min[r] < 0 {
+			min[r] = int32(u)
+		}
+	}
+	out := image.NewLabels(n)
+	for u := 0; u < n*n; u++ {
+		if prov[u] != 0 {
+			out.Lab[u] = uint32(min[d.Find(prov[u])]) + 1
+		}
+	}
+	return out
 }

@@ -31,8 +31,8 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // blockServer occupies the server's single runner with a labeling slowed
-// by an injected delay (the delay site only exists on multi-worker
-// engines, so callers configure EngineWorkers >= 2). It returns a channel
+// by an injected delay at strip_label rank 0, which every engine has
+// (callers happen to configure EngineWorkers >= 2). It returns a channel
 // carrying the blocker's error once it completes, after waiting until the
 // runner has actually rented the engine — from that point the queue alone
 // absorbs new requests.

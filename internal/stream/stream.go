@@ -128,8 +128,8 @@ type Result struct {
 // cannot represent.
 //
 // Pass 1 streams bands top to bottom: decode, run-label band-locally,
-// merge each band with its predecessor's bottom row through the shared
-// slab-merge seam into a sparse 64-bit union-find, and accumulate
+// merge each band with its predecessor's bottom row through the per-pixel
+// seam (MergeAdjacent) into a sparse 64-bit union-find, and accumulate
 // per-fragment sizes. When out is nil the run ends there with the census.
 //
 // With a non-nil out, a second pass streams the bands again and writes

@@ -210,59 +210,73 @@ func TestStreamAgreesWithParEngine(t *testing.T) {
 	}
 }
 
-// TestStreamSharesResidentSeam pins that the resident engine and the
-// streaming pipeline merge slabs through one seam: with W strips and bands
-// of n/W rows the two drivers cut the image at the same rows, label each
-// slab with the same labeler and extract its boundary with the same
-// AppendBoundaryEdges walk, so their boundary counters — raw adjacent
-// pairs, deduplicated edges and resolved links — must agree exactly, over
-// catalog patterns, random binary and grey images, and both
-// connectivities.
-func TestStreamSharesResidentSeam(t *testing.T) {
-	const n = 48
-	type tc struct {
-		name string
-		im   *image.Image
-		mode seq.Mode
-	}
-	var cases []tc
-	for _, id := range image.AllPatterns() {
-		cases = append(cases, tc{id.String(), image.Generate(id, n), seq.Binary})
-	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		cases = append(cases,
-			tc{fmt.Sprintf("random-binary-%d", seed), image.RandomBinary(n, 0.5, seed), seq.Binary},
-			tc{fmt.Sprintf("random-grey-%d", seed), image.RandomGrey(n, 3, seed), seq.Grey})
-	}
-	counters := []obs.Counter{obs.CtrBorderPairs, obs.CtrBorderEdges, obs.CtrBorderLinks}
-	var edges int64
-	for _, c := range cases {
-		pgm := encodePGM(c.im.Pix, n, n, 255)
-		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
-			for _, W := range []int{2, 3, 4} {
-				name := fmt.Sprintf("%s/%v/W=%d", c.name, conn, W)
-				resident := obs.NewRecorder()
-				e := par.NewEngine(W)
-				e.SetObserver(resident)
-				if _, err := e.LabelIntoContext(nil, c.im, conn, c.mode, image.NewLabels(n)); err != nil {
-					t.Fatalf("%s: resident: %v", name, err)
-				}
-				streamed := obs.NewRecorder()
-				if _, err := Label(bytes.NewReader(pgm), nil,
-					Options{Conn: conn, Mode: c.mode, BandRows: n / W, Obs: streamed}); err != nil {
-					t.Fatalf("%s: stream: %v", name, err)
-				}
-				for _, ctr := range counters {
-					if r, s := resident.Counter(ctr), streamed.Counter(ctr); r != s {
-						t.Errorf("%s: %v resident %d, stream %d", name, ctr, r, s)
-					}
-				}
-				edges += resident.Counter(obs.CtrBorderEdges)
-			}
+// TestMergeAdjacentDedupAndLinks pins the per-pixel seam on one
+// boundary: a wide overlap of one fragment above and one below emits one
+// edge however many pixel pairs it has, Conn8 counts the diagonal pairs
+// too, unlike-grey pairs never link, and a second pass over the same
+// boundary finds the sets already joined.
+func TestMergeAdjacentDedupAndLinks(t *testing.T) {
+	const big = uint64(1) << 40
+	top := []uint32{1, 1, 1, 1, 0, 2}
+	bot := []uint32{1, 1, 1, 1, 0, 3}
+	topLab := []uint64{big + 1, big + 1, big + 1, big + 1, 0, big + 6}
+	botLab := []uint64{big + 7, big + 7, big + 7, big + 7, 0, big + 12}
+	for _, c := range []struct {
+		conn  image.Connectivity
+		mode  seq.Mode
+		pairs int64
+		edges int
+		links int
+	}{
+		{image.Conn4, seq.Binary, 5, 2, 2},
+		{image.Conn8, seq.Binary, 5 + 6, 2, 2},
+		{image.Conn4, seq.Grey, 4, 1, 1},
+		{image.Conn8, seq.Grey, 4 + 6, 1, 1},
+	} {
+		name := fmt.Sprintf("%v/%v", c.conn, c.mode)
+		uf := NewUnionFind64()
+		edges, pairs, links := MergeAdjacent(uf, top, bot, topLab, botLab, c.conn, c.mode, nil, nil)
+		if pairs != c.pairs || len(edges)/2 != c.edges || links != c.links {
+			t.Errorf("%s: pairs %d, edges %d, links %d; want %d, %d, %d",
+				name, pairs, len(edges)/2, links, c.pairs, c.edges, c.links)
+		}
+		if r := uf.Find(big + 7); r != big+1 {
+			t.Errorf("%s: lower fragment root %d, want the upper seed %d", name, r, big+1)
+		}
+		if _, _, again := MergeAdjacent(uf, top, bot, topLab, botLab, c.conn, c.mode, nil, edges); again != 0 {
+			t.Errorf("%s: second pass over a resolved seam linked %d sets", name, again)
 		}
 	}
-	if edges == 0 {
-		t.Fatal("no case crossed a seam; the comparison is vacuous")
+}
+
+// TestStreamSeamCounters pins the band merge's accounting on the densest
+// seam, single-pixel vertical columns cut by every band boundary: band
+// components minus links is the component count, and pairs >= edges > 0.
+func TestStreamSeamCounters(t *testing.T) {
+	const n = 96
+	im := image.New(n)
+	for i := 0; i < n; i++ {
+		for j := 1; j < n; j += 2 {
+			im.Pix[i*n+j] = 1
+		}
+	}
+	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+		rec := obs.NewRecorder()
+		res, err := Label(bytes.NewReader(encodePGM(im.Pix, n, n, 255)), nil,
+			Options{Conn: conn, BandRows: 7, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Components != n/2 {
+			t.Errorf("%v: %d components, want %d", conn, res.Components, n/2)
+		}
+		if got := rec.Counter(obs.CtrStripComponents) - rec.Counter(obs.CtrBorderLinks); got != res.Components {
+			t.Errorf("%v: strip_components - border_links = %d, want %d", conn, got, res.Components)
+		}
+		pairs, edges := rec.Counter(obs.CtrBorderPairs), rec.Counter(obs.CtrBorderEdges)
+		if edges == 0 || pairs < edges {
+			t.Errorf("%v: pairs %d, edges %d; want pairs >= edges > 0", conn, pairs, edges)
+		}
 	}
 }
 

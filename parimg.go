@@ -544,8 +544,9 @@ func LabelSequential(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
 // LabelParallel labels the connected components of im on the host-parallel
 // engine: the paper's strip-label-plus-border-merge decomposition executed
 // on GOMAXPROCS worker goroutines for real wall-clock speedup, with each
-// strip run-labeled and the border merges resolved by a concurrent
-// union-find instead of a simulated message-passing machine. The labeling
+// worker's row range run-labeled into one shared run forest, the seams
+// between row ranges united run against run, and the runs painted in
+// parallel, instead of a simulated message-passing machine. The labeling
 // is pixel-for-pixel identical to LabelSequential (and to Simulator.Label).
 // Only Conn and Mode of the options are honored — the remaining fields
 // configure simulator-only ablations. A malformed image (nil, wrong buffer
@@ -553,8 +554,8 @@ func LabelSequential(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
 // mode returns an error from the taxonomy; in particular a side beyond
 // MaxSide returns ErrLabelOverflow, since seed labels are 32-bit global
 // indexes. On cancellation or deadline expiry of ctx the workers stop at
-// their next checkpoint — between phases, and every few thousand rows, runs
-// or edges inside the phase loops — and the call returns an error wrapping
+// their next checkpoint — between phases, and every row of the scan and
+// every 64 rows of the paint — and the call returns an error wrapping
 // ErrCanceled or ErrDeadline; no partial labeling is returned. A nil ctx
 // means no cancellation. For metrics, label on a NewParallelEngine with an
 // observer installed. Safe for concurrent use.
