@@ -39,6 +39,7 @@ type BandLabeler struct {
 	workers int         // sub-slabs per Resolve (SetWorkers); <= 1 means one
 	slabs   []subSlab   // the current Resolve's row-range sub-slabs
 	abort   atomic.Bool // raised by a panicking sub-slab to stop its siblings
+	fg      int         // foreground pixels of the last Resolve
 
 	// The current Resolve's arguments, for its sub-slab workers; pix is
 	// dropped when Resolve returns.
@@ -56,6 +57,7 @@ type subSlab struct {
 	wide     bool // grey levels above a byte: runs come from pix, not the byteplane
 	cut      bool // the stop flag cut this sub-slab's rows short
 	unites   int  // merging unites within the sub-slab
+	fg       int  // foreground pixels in the sub-slab's runs
 	panicked any  // a recovered worker panic, re-raised by the caller
 }
 
@@ -122,6 +124,7 @@ func (b *BandLabeler) resolve(pix []uint32, rows, cols int, conn image.Connectiv
 	} else {
 		b.bp.ResetRect(rows, cols)
 	}
+	b.fg = 0
 	b.split(rows)
 	b.rowOff = resize(b.rowOff, rows+1)
 	b.rowOff[0] = 0
@@ -146,10 +149,12 @@ func (b *BandLabeler) resolve(pix []uint32, rows, cols int, conn image.Connectiv
 	if b.wasCut() {
 		return 0, false
 	}
-	unites := b.slabs[0].unites
+	unites, fg := b.slabs[0].unites, b.slabs[0].fg
 	for _, sl := range b.slabs[1:] {
 		unites += sl.unites + b.uniteAt(sl.r0)
+		fg += sl.fg
 	}
+	b.fg = fg
 	b.flatten()
 	return nruns - unites, true
 }
@@ -247,11 +252,12 @@ func (b *BandLabeler) count(sl *subSlab) {
 
 // fill is step 2 for one sub-slab: extract each row's runs into its exact
 // slot of the run table, seed them (slab-local seed i*cols + start + 1) as
-// singletons, and unite them with the row above when that row is in the
-// sub-slab too. A wide sub-slab extracts every row from pix; its rows the
-// byteplane holds intact yield the same runs either way.
+// singletons, sum their lengths into the sub-slab's foreground, and unite
+// them with the row above when that row is in the sub-slab too. A wide
+// sub-slab extracts every row from pix; its rows the byteplane holds intact
+// yield the same runs either way.
 func (b *BandLabeler) fill(sl *subSlab) {
-	unites := 0
+	unites, fg := 0, 0
 	for i := sl.r0; i < sl.r1; i++ {
 		if b.stopped() {
 			sl.cut = true
@@ -274,12 +280,13 @@ func (b *BandLabeler) fill(sl *subSlab) {
 		for k := lo / 2; k < hi/2; k++ {
 			b.seed[k] = base + uint32(b.runs[2*k])
 			b.parent[k] = int32(k)
+			fg += int(b.runs[2*k+1] - b.runs[2*k])
 		}
 		if i > sl.r0 {
 			unites += b.uniteAt(i)
 		}
 	}
-	sl.unites = unites
+	sl.unites, sl.fg = unites, fg
 }
 
 // uniteAt unites the runs of row i with the adjacent (and, in grey mode,
@@ -357,6 +364,12 @@ func (b *BandLabeler) ComponentSizes(dst []uint32) []uint32 {
 	}
 	return dst
 }
+
+// Foreground returns the number of foreground pixels (the summed run
+// lengths) of the last Resolve or Label, 0 when the stop flag cut it
+// short. It is summed per sub-slab during extraction, so it costs no pass
+// of its own.
+func (b *BandLabeler) Foreground() int { return b.fg }
 
 // Runs exposes the slab's flat (start, end) column pairs, rows
 // concatenated, valid until the next Resolve or Label call.

@@ -91,10 +91,10 @@ func workerCounts(rows int) []int { return []int{1, 2, 3, 7, rows, rows + 5} }
 // TestBandResolveMatchesPaint checks the paint-free band resolve against
 // the painted BandLabeler.Label and against a BFS labeling of the band with
 // the same band-local seeds: flat per-run roots, per-run seeds, the root
-// count, per-root component sizes, and every row painted by PaintRow. It
-// does so at every worker count of the sub-slab sweep, and demands the
-// run table, offsets, roots, seeds and sizes of each be bit-identical to
-// the one-worker resolve. One labeler of each kind serves the whole sweep,
+// count, per-root component sizes, the foreground total, and every row
+// painted by PaintRow. It does so at every worker count of the sub-slab
+// sweep, and demands the run table, offsets, roots, seeds and sizes of
+// each be bit-identical to the one-worker resolve. One labeler of each kind serves the whole sweep,
 // so scratch reuse across bands of different shapes and worker counts is
 // covered too.
 func TestBandResolveMatchesPaint(t *testing.T) {
@@ -107,9 +107,11 @@ func TestBandResolveMatchesPaint(t *testing.T) {
 			wantComps, _ := TileLabeler(c.pix, c.rows, c.cols, conn, c.mode,
 				func(i, j int) uint32 { return uint32(i*c.cols+j) + 1 }, want, nil)
 			wantSize := map[uint32]uint32{}
+			wantFg := 0
 			for _, l := range want {
 				if l != 0 {
 					wantSize[l]++
+					wantFg++
 				}
 			}
 			serial.Resolve(c.pix, c.rows, c.cols, conn, c.mode)
@@ -133,6 +135,9 @@ func TestBandResolveMatchesPaint(t *testing.T) {
 
 				if comps := bl.Resolve(c.pix, c.rows, c.cols, conn, c.mode); comps != wantComps {
 					t.Errorf("%s: Resolve found %d components, BFS %d", name, comps, wantComps)
+				}
+				if fg := bl.Foreground(); fg != wantFg {
+					t.Errorf("%s: Foreground %d, BFS %d", name, fg, wantFg)
 				}
 				runs, roots, seeds, off := bl.Runs(), bl.Roots(), bl.Seeds(), bl.RowOffsets()
 				sizes = bl.ComponentSizes(sizes)
@@ -280,8 +285,9 @@ func TestBandResolveStopsMidResolve(t *testing.T) {
 		switch {
 		case c == 0:
 			cut = true
-			if !unpainted() {
-				t.Fatalf("delay %v: a cut Resolve painted the plane", delay)
+			if !unpainted() || bl.Foreground() != 0 {
+				t.Fatalf("delay %v: a cut Resolve painted the plane or reported %d foreground pixels",
+					delay, bl.Foreground())
 			}
 		case c != wantComps || !slices.Equal(lab, want):
 			t.Fatalf("delay %v: an uncut Resolve found %d components (want %d) or painted wrong labels",

@@ -23,14 +23,16 @@ import (
 //
 //   - a fingerprint of the run: the input's raw header bytes, its
 //     geometry (width, height, maxval, data offset), and the options that
-//     shape the band decomposition and the labeling (connectivity, mode,
-//     band rows) — resume refuses a checkpoint whose fingerprint drifted,
-//     because band-local labels would no longer line up;
+//     shape the band decomposition, the labeling and the census
+//     (connectivity, mode, band rows, top-K) — resume refuses a checkpoint
+//     whose fingerprint drifted, because band-local labels would no longer
+//     line up, and a heap of K components cannot answer another K;
 //   - the resume point: the index of the next uncommitted band;
 //   - the census state at that point: the sparse union-find forest, the
-//     per-fragment size map, the running strip-component/link/pair/edge
-//     tallies, and the previous band's bottom pixel and lifted-label rows
-//     against which the next band's seam is re-extracted.
+//     seam-fragment map, the top-K heap of retired components, the running
+//     strip-component/retired/foreground/link/pair/edge tallies, and the
+//     previous band's bottom pixel and lifted-label rows against which the
+//     next band's seam is re-extracted.
 //
 // The on-disk form is little-endian binary: an 8-byte magic, a version
 // word, the fields above, and a trailing CRC-32C over every preceding
@@ -44,7 +46,9 @@ import (
 var ckptMagic = [8]byte{'P', 'I', 'M', 'G', 'C', 'K', 'P', 'T'}
 
 // ckptVersion is the current record version; readers reject others.
-const ckptVersion = 1
+// Version 2 added top-K to the fingerprint, and foreground, the retired
+// count and the top-K heap to the census state.
+const ckptVersion = 2
 
 // checkpoint is the in-memory form of one record.
 type checkpoint struct {
@@ -52,6 +56,7 @@ type checkpoint struct {
 	conn       image.Connectivity
 	mode       seq.Mode
 	bandRows   int
+	topK       int
 	width      int
 	height     int
 	maxVal     int
@@ -64,6 +69,8 @@ type checkpoint struct {
 
 	// Census state after band nextBand-1.
 	stripComps int64
+	retired    int64
+	foreground int64
 	links      int64
 	pairs      int64
 	edges      int64
@@ -71,6 +78,7 @@ type checkpoint struct {
 	prevLab    []uint64 // bottom lifted-label row of band nextBand-1
 	parent     map[uint64]uint64
 	sizes      map[uint64]int64
+	top        topHeap // on disk and after decoding: sorted by cmpWorse
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -113,6 +121,7 @@ func (c *checkpoint) encode(w io.Writer) error {
 	e.u32(uint32(c.conn))
 	e.u32(uint32(c.mode))
 	e.u64(uint64(c.bandRows))
+	e.u64(uint64(c.topK))
 	e.u64(uint64(c.width))
 	e.u64(uint64(c.height))
 	e.u64(uint64(c.maxVal))
@@ -121,6 +130,8 @@ func (c *checkpoint) encode(w io.Writer) error {
 	e.raw(c.header)
 	e.u64(uint64(c.nextBand))
 	e.u64(uint64(c.stripComps))
+	e.u64(uint64(c.retired))
+	e.u64(uint64(c.foreground))
 	e.u64(uint64(c.links))
 	e.u64(uint64(c.pairs))
 	e.u64(uint64(c.edges))
@@ -143,6 +154,15 @@ func (c *checkpoint) encode(w io.Writer) error {
 	for _, lab := range sortedKeys(c.sizes) {
 		e.u64(lab)
 		e.u64(uint64(c.sizes[lab]))
+	}
+	// The heap goes out sorted for the same reason. Sorted by cmpWorse it is
+	// also a valid heap, so a decoded record restores it as it stands.
+	top := slices.Clone(c.top)
+	slices.SortFunc(top, cmpWorse)
+	e.u64(uint64(len(top)))
+	for _, t := range top {
+		e.u64(t.Label)
+		e.u64(uint64(t.Size))
 	}
 	if e.err != nil {
 		return e.err
@@ -244,6 +264,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		conn:       image.Connectivity(d.u32()),
 		mode:       seq.Mode(d.u32()),
 		bandRows:   int(d.u64()),
+		topK:       int(d.u64()),
 		width:      int(d.u64()),
 		height:     int(d.u64()),
 		maxVal:     int(d.u64()),
@@ -256,6 +277,8 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	c.header = append([]byte(nil), d.raw(hlen)...)
 	c.nextBand = int(d.u64())
 	c.stripComps = int64(d.u64())
+	c.retired = int64(d.u64())
+	c.foreground = int64(d.u64())
 	c.links = int64(d.u64())
 	c.pairs = int64(d.u64())
 	c.edges = int64(d.u64())
@@ -294,6 +317,14 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		lab, size := d.u64(), int64(d.u64())
 		c.sizes[lab] = size
 	}
+	ntop := int(d.u64())
+	if ntop < 0 || ntop > d.remaining()/16 {
+		return nil, errs.CheckpointCorrupt(op, "record declares %d top-K entries past its own size", ntop)
+	}
+	c.top = make(topHeap, ntop)
+	for i := range c.top {
+		c.top[i] = Component{Label: d.u64(), Size: int64(d.u64())}
+	}
 	if d.bad || d.remaining() != 0 {
 		return nil, errs.CheckpointCorrupt(op, "record is truncated or carries trailing bytes")
 	}
@@ -301,9 +332,31 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	// Field plausibility: the checksum says the bytes are intact, but a
 	// crafted record must still fail typed instead of driving the pipeline
 	// into impossible state.
-	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.dataOffset < 0 ||
-		c.stripComps < 0 || c.links < 0 || c.pairs < 0 || c.edges < 0 {
+	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.dataOffset < 0 || c.topK < 0 ||
+		c.stripComps < 0 || c.retired < 0 || c.foreground < 0 ||
+		c.links < 0 || c.pairs < 0 || c.edges < 0 {
 		return nil, errs.CheckpointCorrupt(op, "record carries impossible geometry or tallies")
+	}
+	// Retired components and seam fragments are distinct band components.
+	if c.retired > c.stripComps-int64(len(c.sizes)) {
+		return nil, errs.CheckpointCorrupt(op, "record retires %d and keeps %d of %d band components",
+			c.retired, len(c.sizes), c.stripComps)
+	}
+	for _, size := range c.sizes {
+		// Seam fragments carry their size only when a top-K needs it.
+		if (c.topK == 0) != (size == 0) || size < 0 {
+			return nil, errs.CheckpointCorrupt(op, "record holds a %d-pixel seam fragment for a top-%d census", size, c.topK)
+		}
+	}
+	if int64(len(c.top)) > min(int64(c.topK), c.retired) {
+		return nil, errs.CheckpointCorrupt(op, "record holds %d top-K entries for a top-%d census of %d retired components",
+			len(c.top), c.topK, c.retired)
+	}
+	for i, t := range c.top {
+		if t.Size < 1 || i > 0 && cmpWorse(c.top[i-1], t) >= 0 {
+			return nil, errs.CheckpointCorrupt(op, "record top-K entry %d (label %d, %d pixels) is empty or out of order",
+				i, t.Label, t.Size)
+		}
 	}
 	totalBands := (c.height + c.bandRows - 1) / c.bandRows
 	if c.nextBand < 1 || c.nextBand > totalBands {
@@ -322,7 +375,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 // resuming would replay seams against the wrong rows and silently emit
 // wrong pixels, which is exactly what the typed refusal prevents.
 func (c *checkpoint) matches(hdr image.PGMHeader, header []byte,
-	conn image.Connectivity, mode seq.Mode, bandRows int) error {
+	conn image.Connectivity, mode seq.Mode, bandRows, topK int) error {
 	if c.width != hdr.Width || c.height != hdr.Height || c.maxVal != hdr.MaxVal || c.dataOffset != hdr.DataOffset {
 		return errs.CheckpointMismatch(op,
 			"checkpoint is for a %dx%d maxval-%d input (data at %d); this input is %dx%d maxval-%d (data at %d)",
@@ -339,6 +392,9 @@ func (c *checkpoint) matches(hdr image.PGMHeader, header []byte,
 	}
 	if c.bandRows != bandRows {
 		return errs.CheckpointMismatch(op, "checkpoint was written with %d-row bands, resume asks for %d", c.bandRows, bandRows)
+	}
+	if c.topK != topK {
+		return errs.CheckpointMismatch(op, "checkpoint was written for a top-%d census, resume asks for top-%d", c.topK, topK)
 	}
 	return nil
 }
@@ -362,6 +418,7 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 		conn:       p.conn,
 		mode:       p.mode,
 		bandRows:   p.bandRows,
+		topK:       p.topK,
 		width:      p.hdr.Width,
 		height:     p.hdr.Height,
 		maxVal:     p.hdr.MaxVal,
@@ -369,6 +426,8 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 		header:     p.hdrBytes,
 		nextBand:   nextBand,
 		stripComps: p.stripComps,
+		retired:    p.retired,
+		foreground: p.foreground,
 		links:      p.links,
 		pairs:      p.pairs,
 		edges:      p.edges,
@@ -376,6 +435,7 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 		prevLab:    p.prevLab,
 		parent:     p.uf.parent,
 		sizes:      p.sizes,
+		top:        p.top,
 	}
 	if err := c.writeFile(p.ckptPath); err != nil {
 		return errs.Bad(op, "writing checkpoint %s: %v", p.ckptPath, err)
@@ -387,6 +447,8 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 // returns the band index the census pass continues at.
 func (p *pipeline) restore(c *checkpoint) int {
 	p.stripComps = c.stripComps
+	p.retired = c.retired
+	p.foreground = c.foreground
 	p.links = c.links
 	p.pairs = c.pairs
 	p.edges = c.edges
@@ -394,5 +456,6 @@ func (p *pipeline) restore(c *checkpoint) int {
 	p.prevLab = c.prevLab
 	p.uf.parent = c.parent
 	p.sizes = c.sizes
+	p.top = c.top
 	return c.nextBand
 }

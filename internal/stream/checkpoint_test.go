@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -288,6 +290,7 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 		{"truncated-one-byte", corrupt(func(b []byte) []byte { return b[:len(b)-1] })},
 		{"magic-flip", corrupt(func(b []byte) []byte { b[0] ^= 0x40; return b })},
 		{"version-flip", corrupt(func(b []byte) []byte { b[8] ^= 0xFF; return b })},
+		{"version-1", corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:12], 1); return b })},
 		{"payload-flip", corrupt(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })},
 		{"checksum-flip", corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })},
 		{"trailing-garbage", corrupt(func(b []byte) []byte { return append(b, 0xEE) })},
@@ -305,6 +308,82 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 			}
 			if res != nil {
 				t.Fatal("a corrupt checkpoint still produced a result")
+			}
+		})
+	}
+}
+
+// resealed recomputes a record's trailing checksum, so a field edit gets
+// past the CRC to the decoder's plausibility checks.
+func resealed(b []byte) []byte {
+	body := b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(body, crcTable))
+	return b
+}
+
+// TestImplausibleCheckpointRejected is the corruption table for records
+// with an intact checksum: each row edits one census field of a valid
+// top-K record to a value no run can produce and reseals it, and resuming
+// must fail with ErrCheckpointCorrupt. The unedited resealed record must
+// resume, so each row fails on its field alone.
+func TestImplausibleCheckpointRejected(t *testing.T) {
+	im := image.RandomBinary(32, 0.3, 5)
+	pgm := encodePGM(im.Pix, im.N, im.N, 255)
+	opt := Options{BandRows: 5, CheckpointEvery: 2, TopK: 2}
+	_, valid := writeCheckpointFor(t, pgm, opt)
+	c, err := decodeCheckpoint(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.top) != 2 {
+		t.Fatalf("record holds %d top-K entries, want a full heap of 2", len(c.top))
+	}
+	// Field offsets: magic, version, conn and mode, then the u64 fields in
+	// record order; the tallies follow the raw header bytes, and the top-K
+	// heap ends the record just before its checksum.
+	const topKAt = 8 + 4 + 4 + 4 + 8
+	hlen := int(binary.LittleEndian.Uint64(valid[topKAt+8*5:]))
+	tallies := topKAt + 8*6 + hlen + 8 // past nextBand
+	stripAt, retiredAt, fgAt := tallies, tallies+8, tallies+16
+	lastSizeAt := len(valid) - 4 - 8
+
+	edit := func(at int, v uint64) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(b[at:], v)
+		return resealed(b)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"unedited", resealed(append([]byte(nil), valid...)), true},
+		{"retired-above-strip-components", edit(retiredAt, uint64(c.stripComps)+1), false},
+		{"heap-larger-than-top-k", edit(topKAt, 1), false},
+		{"zero-size-heap-entry", edit(lastSizeAt, 0), false},
+		{"negative-foreground", edit(fgAt, 1<<63), false},
+		{"negative-strip-components", edit(stripAt, 1<<63), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.ckpt")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o := opt
+			o.Checkpoint, o.Resume = path, true
+			res, err := Label(bytes.NewReader(pgm), nil, o)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("resealed valid record: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, errs.ErrCheckpointCorrupt) {
+				t.Fatalf("error = %v, want ErrCheckpointCorrupt", err)
+			}
+			if res != nil {
+				t.Fatal("an implausible checkpoint still produced a result")
 			}
 		})
 	}
@@ -335,6 +414,7 @@ func TestMismatchedCheckpointRejected(t *testing.T) {
 		{"different-conn", pgm, Options{Conn: image.Conn4, BandRows: 5}},
 		{"different-mode", greyPGM, Options{Conn: image.Conn8, Mode: seq.Grey, BandRows: 5}},
 		{"different-band-rows", pgm, Options{Conn: image.Conn8, BandRows: 6}},
+		{"different-top-k", pgm, Options{Conn: image.Conn8, BandRows: 5, TopK: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,23 +62,32 @@ func FuzzStreamPGM(f *testing.F) {
 // ErrCheckpointCorrupt, and must not allocate more than a small multiple
 // of the input: every declared count is checked against the bytes present
 // before anything is sized from it. A record it accepts must survive an
-// encode/decode round trip unchanged. The seeds are a valid record and
-// the mutations of the corruption table in TestCorruptCheckpointRejected.
+// encode/decode round trip unchanged. The seeds are two valid records, a
+// census-only one and a top-K one with a non-empty heap, and the mutations
+// of the corruption table in TestCorruptCheckpointRejected.
 func FuzzCheckpoint(f *testing.F) {
-	im := image.Generate(image.ConcentricCircles, 32)
-	pgm := encodePGM(im.Pix, im.N, im.N, 255)
-	ckpt := filepath.Join(f.TempDir(), "run.ckpt")
-	if _, err := Label(bytes.NewReader(pgm), nil, Options{
-		BandRows: 5, CheckpointEvery: 2, Checkpoint: ckpt}); err != nil {
-		f.Fatalf("checkpointed census: %v", err)
+	record := func(im *image.Image, topK int) []byte {
+		pgm := encodePGM(im.Pix, im.N, im.N, 255)
+		ckpt := filepath.Join(f.TempDir(), "run.ckpt")
+		if _, err := Label(bytes.NewReader(pgm), nil, Options{
+			BandRows: 5, CheckpointEvery: 2, Checkpoint: ckpt, TopK: topK}); err != nil {
+			f.Fatalf("checkpointed census: %v", err)
+		}
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	valid, err := os.ReadFile(ckpt)
-	if err != nil {
-		f.Fatal(err)
+	valid := record(image.Generate(image.ConcentricCircles, 32), 0)
+	withTop := record(image.RandomBinary(32, 0.3, 5), 3)
+	if c, err := decodeCheckpoint(withTop); err != nil || len(c.top) == 0 {
+		f.Fatalf("top-K seed record: %v, want a decodable record with a non-empty heap", err)
 	}
 	mutate := func(m func([]byte) []byte) []byte { return m(append([]byte(nil), valid...)) }
 	for _, seed := range [][]byte{
 		valid,
+		withTop,
 		nil,
 		mutate(func(b []byte) []byte { return b[:8] }),
 		mutate(func(b []byte) []byte { return b[:len(b)/2] }),

@@ -2,11 +2,13 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
+	"container/heap"
 	"context"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,7 +50,9 @@ type Options struct {
 	// (0 means DefaultMaxBandPixels). A single row is always resident, so
 	// the effective floor is one row.
 	MaxBandPixels int
-	// TopK asks for the sizes of the K largest components (0 = none).
+	// TopK asks for the sizes of the K largest components (0 = none). It
+	// is part of a checkpoint's fingerprint: the record keeps only the K
+	// largest finished components, so it cannot answer another K.
 	TopK int
 	// Context, when non-nil, cancels the run cooperatively: the pipeline
 	// observes cancellation at band granularity and inside the band
@@ -59,8 +63,8 @@ type Options struct {
 	// barrier watchdog, guarding against a reader that hangs.
 	StallTimeout time.Duration
 	// Obs, when non-nil, receives per-band phase timings (band_decode,
-	// band_label, band_merge, band_write, checkpoint_write, resume_replay)
-	// and the merge counters.
+	// band_label, band_merge, band_fold, band_write, checkpoint_write), the
+	// once-per-run census_fold and resume_replay, and the merge counters.
 	Obs *obs.Recorder
 	// Checkpoint, when non-empty, is the path of the durable checkpoint
 	// record: after every CheckpointEvery committed census bands (and after
@@ -129,8 +133,10 @@ type Result struct {
 //
 // Pass 1 streams bands top to bottom: decode, run-label band-locally,
 // merge each band with its predecessor's bottom row through the per-pixel
-// seam (MergeAdjacent) into a sparse 64-bit union-find, and accumulate
-// per-fragment sizes. When out is nil the run ends there with the census.
+// seam (MergeAdjacent) into a sparse 64-bit union-find, and fold the band
+// into the census: a band component with no pixel on a seam row is final
+// and retired at once, and only the seam fragments stay in the merge
+// state. When out is nil the run ends there with the census.
 //
 // With a non-nil out, a second pass streams the bands again and writes
 // the labeling as a P5 PGM: labels densely renumbered 1..components in
@@ -203,6 +209,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		bandRows:  bandRows,
 		rec:       opt.Obs,
 		wd:        wd,
+		topK:      max(opt.TopK, 0),
 		uf:        NewUnionFind64(),
 		sizes:     make(map[uint64]int64),
 		ckptPath:  opt.Checkpoint,
@@ -223,7 +230,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		t := p.rec.StartPhase()
 		c, err := loadCheckpoint(p.ckptPath)
 		if err == nil {
-			err = c.matches(hdr, p.hdrBytes, conn, p.mode, bandRows)
+			err = c.matches(hdr, p.hdrBytes, conn, p.mode, bandRows, p.topK)
 		}
 		if err != nil {
 			p.rec.EndPhase("resume_replay", "", t)
@@ -234,7 +241,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		p.rec.Add(obs.CtrResumeBand, int64(p.startBand))
 	}
 
-	res, err := p.census(opt.TopK)
+	res, err := p.census()
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +293,7 @@ type pipeline struct {
 	bandRows int
 	rec      *obs.Recorder
 	wd       *watchdog
+	topK     int // Options.TopK, negative clamped to 0
 
 	bl      seq.BandLabeler
 	pix     []uint32 // current band pixels
@@ -294,7 +302,8 @@ type pipeline struct {
 	runBuf  []uint32 // per-run scratch: component sizes, then dense ids
 
 	uf      *UnionFind64
-	sizes   map[uint64]int64 // fragment sizes by lifted band-local label
+	sizes   map[uint64]int64 // seam fragments by lifted label: size with a top-K, else 0
+	top     topHeap          // the topK largest retired components
 	edgeBuf []uint64
 	prevPix []uint32 // previous band's bottom pixel row
 	prevLab []uint64 // previous band's bottom label row, lifted
@@ -307,6 +316,8 @@ type pipeline struct {
 	fault     *fault.Injector
 
 	stripComps int64
+	retired    int64 // band components no other band can reach
+	foreground int64
 	links      int64
 	pairs      int64
 	edges      int64
@@ -362,7 +373,7 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 
 // census is pass 1: stream every band from the start band (0 fresh,
 // checkpointed band when resuming), merge adjacent bands, and fold each
-// band's component sizes into the census, producing the component count,
+// band into the census (foldBand), producing the component count,
 // foreground count and top-K census. Counters: strip components and run
 // counts per band, boundary pairs/edges/links per merge, checkpoint
 // records written.
@@ -374,9 +385,9 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 // On resume the normal merge path IS the seam replay: the restored
 // prevPix/prevLab rows are exactly what the uninterrupted run would hold
 // entering this band, band labeling is deterministic, and
-// unite-by-minimum is idempotent, so the forest and size map evolve
-// identically from here on.
-func (p *pipeline) census(topK int) (*Result, error) {
+// unite-by-minimum is idempotent, so the forest, the seam fragments and
+// the retired tallies evolve identically from here on.
+func (p *pipeline) census() (*Result, error) {
 	W := p.hdr.Width
 	err := p.forEachBand(p.startBand, func(r0, rows, comps int) error {
 		p.stripComps += int64(comps)
@@ -406,17 +417,8 @@ func (p *pipeline) census(topK int) (*Result, error) {
 		}
 
 		t := p.rec.StartPhase()
-		// Fragment sizes: one sizes update per band component, keyed by its
-		// lifted root seed (the fragment's global label), so the map holds
-		// one entry per band-level fragment over the whole run: components
-		// + links entries in total.
-		p.runBuf = p.bl.ComponentSizes(p.runBuf)
-		seeds := p.bl.Seeds()
-		for k, r := range p.bl.Roots() {
-			if int(r) == k {
-				p.sizes[base+uint64(seeds[k])] += int64(p.runBuf[k])
-			}
-		}
+		p.foreground += int64(p.bl.Foreground())
+		p.foldBand(r0, rows, comps, base)
 		// Save the band's bottom boundary for the next merge.
 		if cap(p.prevPix) < W {
 			p.prevPix = make([]uint32, W)
@@ -437,9 +439,66 @@ func (p *pipeline) census(topK int) (*Result, error) {
 		return nil, err
 	}
 	t := p.rec.StartPhase()
-	res, err := p.foldCensus(topK)
+	res, err := p.foldCensus()
 	p.rec.EndPhase("census_fold", "", t)
 	return res, err
+}
+
+// foldBand folds the current band, rows rows from absolute row r0 with
+// comps components and lifted-label base, into the census. Only a band
+// component with a run on a seam row — the band's first row when a band
+// lies above, its last row when one lies below — can ever be linked to
+// another band. Its root (a seam fragment) gets a sizes entry keyed by
+// its lifted label. Every other band component is final now: it is
+// counted as retired and, with a top-K, offered to the heap. Only a top-K
+// needs per-component sizes, so only then are they computed and the
+// roots walked; otherwise the fold touches the two seam rows' runs alone.
+func (p *pipeline) foldBand(r0, rows, comps int, base uint64) {
+	var sizes []uint32
+	if p.topK > 0 {
+		p.runBuf = p.bl.ComponentSizes(p.runBuf)
+		sizes = p.runBuf
+	}
+	seam := 0
+	if r0 > 0 {
+		seam += p.foldSeamRow(0, base, sizes)
+	}
+	if r0+rows < p.hdr.Height {
+		seam += p.foldSeamRow(rows-1, base, sizes)
+	}
+	p.retired += int64(comps - seam)
+	if sizes == nil {
+		return
+	}
+	seeds := p.bl.Seeds()
+	for k, r := range p.bl.Roots() {
+		// A zero size marks a root foldSeamRow already took.
+		if int(r) == k && sizes[k] != 0 {
+			p.top.offer(Component{Label: base + uint64(seeds[k]), Size: int64(sizes[k])}, p.topK)
+		}
+	}
+}
+
+// foldSeamRow adds the seam fragments with a run on band row i to the
+// sizes map (with their size from sizes, then zeroed there, when a top-K
+// is asked for) and returns how many it added.
+func (p *pipeline) foldSeamRow(i int, base uint64, sizes []uint32) int {
+	roots, seeds, off := p.bl.Roots(), p.bl.Seeds(), p.bl.RowOffsets()
+	added := 0
+	for k := off[i] / 2; k < off[i+1]/2; k++ {
+		r := roots[k]
+		l := base + uint64(seeds[r])
+		if _, ok := p.sizes[l]; ok {
+			continue
+		}
+		var size int64
+		if sizes != nil {
+			size, sizes[r] = int64(sizes[r]), 0
+		}
+		p.sizes[l] = size
+		added++
+	}
+	return added
 }
 
 // seamRow paints row i of the current band and lifts it into the global
@@ -466,51 +525,83 @@ func (p *pipeline) seamRow(i int, base uint64, dst []uint64) []uint64 {
 	return dst
 }
 
-// foldCensus folds the fragment sizes through the final forest into the
+// foldCensus folds the seam fragments through the final forest into the
 // run's Result. Per-component sizes are only needed for the top-K, so the
-// map of them is built only when one is asked for.
-func (p *pipeline) foldCensus(topK int) (*Result, error) {
+// seam fragments are folded through Find only when one is asked for.
+func (p *pipeline) foldCensus() (*Result, error) {
 	res := &Result{
 		Width:      p.hdr.Width,
 		Height:     p.hdr.Height,
 		Components: p.stripComps - p.links,
+		Foreground: p.foreground,
 		Bands:      (p.hdr.Height + p.bandRows - 1) / p.bandRows,
 		BandRows:   p.bandRows,
 		Links:      p.links,
 	}
-	var roots int64
-	for l, s := range p.sizes {
-		res.Foreground += s
+	roots := p.retired
+	for l := range p.sizes {
 		if p.uf.IsRoot(l) {
 			roots++
 		}
 	}
 	if roots != res.Components {
-		// Cross-check: the size fold sees exactly one root per component.
-		return nil, errs.Bad(op, "component accounting mismatch: %d roots, %d by links",
+		// Cross-check: every component is retired once or has exactly one
+		// seam fragment left as its root.
+		return nil, errs.Bad(op, "component accounting mismatch: %d retired + seam roots, %d by links",
 			roots, res.Components)
 	}
-	if topK > 0 {
-		final := make(map[uint64]int64, roots)
+	if p.topK > 0 {
+		final := make(map[uint64]int64)
 		for l, s := range p.sizes {
 			final[p.uf.Find(l)] += s
 		}
-		all := make([]Component, 0, len(final))
+		all := make([]Component, 0, len(p.top)+len(final))
+		all = append(all, p.top...)
 		for l, s := range final {
 			all = append(all, Component{Label: l, Size: s})
 		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].Size != all[b].Size {
-				return all[a].Size > all[b].Size
-			}
-			return all[a].Label < all[b].Label
-		})
-		if len(all) > topK {
-			all = all[:topK]
-		}
-		res.Top = all
+		slices.SortFunc(all, func(a, b Component) int { return cmpWorse(b, a) })
+		res.Top = all[:min(len(all), p.topK)]
 	}
 	return res, nil
+}
+
+// cmpWorse orders components from the bottom of a top-K up: smaller size
+// first, and among equal sizes the larger label first. It is negative when
+// a ranks below b.
+func cmpWorse(a, b Component) int {
+	if a.Size != b.Size {
+		return cmp.Compare(a.Size, b.Size)
+	}
+	return cmp.Compare(b.Label, a.Label)
+}
+
+// topHeap holds the K best retired components (by size, then smaller
+// label) as a container/heap min-heap under cmpWorse, so its root is the
+// first to drop out. It grows by append as components arrive, never to
+// more than K.
+type topHeap []Component
+
+func (h topHeap) Len() int           { return len(h) }
+func (h topHeap) Less(i, j int) bool { return cmpWorse(h[i], h[j]) < 0 }
+func (h topHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *topHeap) Push(x any)        { *h = append(*h, x.(Component)) }
+func (h *topHeap) Pop() any {
+	n := len(*h) - 1
+	c := (*h)[n]
+	*h = (*h)[:n]
+	return c
+}
+
+// offer keeps c if it ranks among the k best seen so far.
+func (h *topHeap) offer(c Component, k int) {
+	switch {
+	case len(*h) < k:
+		heap.Push(h, c)
+	case cmpWorse(c, (*h)[0]) > 0:
+		(*h)[0] = c
+		heap.Fix(h, 0)
+	}
 }
 
 // writeLabels is pass 2: stream the bands again (the band decomposition

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,7 +103,10 @@ func atProcs(procs int, fn func()) {
 // pattern plus binary and grey DARPA scenes, both connectivities, several
 // band heights (including one-row bands and bands taller than the image),
 // at one and at four band-labeling workers, all compared byte for byte
-// against the dense rendering of the resident reference labeling.
+// against the dense rendering of the resident reference labeling. Each
+// run asks for a top-K of 0 (the census-only fast path), 1, 5 or every
+// component, and its census must equal the one taken from the resident
+// labeling exactly.
 func TestStreamMatchesResident(t *testing.T) {
 	type input struct {
 		name string
@@ -126,37 +131,40 @@ func TestStreamMatchesResident(t *testing.T) {
 			want := renderDense(lab, n, n, comps)
 			for _, bandRows := range []int{1, 5, n, n + 37} {
 				for _, procs := range []int{1, 4} {
-					name := fmt.Sprintf("%s/conn%d/band%d/procs%d", in.name, int(conn), bandRows, procs)
-					var res *Result
-					var got []byte
-					atProcs(procs, func() {
-						res, got = streamLabel(t, pgm, Options{
-							Conn: conn, Mode: in.mode, BandRows: bandRows, TopK: 5,
+					for _, topK := range []int{0, 1, 5, comps} {
+						name := fmt.Sprintf("%s/conn%d/band%d/procs%d/top%d", in.name, int(conn), bandRows, procs, topK)
+						var res *Result
+						var got []byte
+						atProcs(procs, func() {
+							res, got = streamLabel(t, pgm, Options{
+								Conn: conn, Mode: in.mode, BandRows: bandRows, TopK: topK,
+							})
 						})
-					})
-					if res.Components != int64(comps) {
-						t.Errorf("%s: %d components, want %d", name, res.Components, comps)
+						if res.Components != int64(comps) {
+							t.Errorf("%s: %d components, want %d", name, res.Components, comps)
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("%s: label PGM differs from resident rendering", name)
+						}
+						wantBands := (n + bandRows - 1) / bandRows
+						if bandRows > n {
+							wantBands = 1
+						}
+						if res.Bands != wantBands {
+							t.Errorf("%s: %d bands, want %d", name, res.Bands, wantBands)
+						}
+						checkCensus(t, name, res, in.im.Pix, refConn[conn], topK)
 					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s: label PGM differs from resident rendering", name)
-					}
-					wantBands := (n + bandRows - 1) / bandRows
-					if bandRows > n {
-						wantBands = 1
-					}
-					if res.Bands != wantBands {
-						t.Errorf("%s: %d bands, want %d", name, res.Bands, wantBands)
-					}
-					checkCensus(t, name, res, in.im.Pix, refConn[conn])
 				}
 			}
 		}
 	}
 }
 
-// checkCensus verifies the foreground count and the top-K entries against
-// sizes computed from the resident labeling.
-func checkCensus(t *testing.T, name string, res *Result, pix, lab []uint32) {
+// checkCensus verifies the foreground count and the top-K list against the
+// resident labeling: the exact list of its components by size descending,
+// then label ascending, cut to topK.
+func checkCensus(t *testing.T, name string, res *Result, pix, lab []uint32, topK int) {
 	t.Helper()
 	var fg int64
 	sizes := map[uint32]int64{}
@@ -171,15 +179,19 @@ func checkCensus(t *testing.T, name string, res *Result, pix, lab []uint32) {
 	if res.Foreground != fg {
 		t.Errorf("%s: foreground %d, want %d", name, res.Foreground, fg)
 	}
-	for _, c := range res.Top {
-		if want := sizes[uint32(c.Label)]; c.Size != want {
-			t.Errorf("%s: census label %d size %d, want %d", name, c.Label, c.Size, want)
-		}
+	want := make([]Component, 0, len(sizes))
+	for l, n := range sizes {
+		want = append(want, Component{Label: uint64(l), Size: n})
 	}
-	for i := 1; i < len(res.Top); i++ {
-		if res.Top[i].Size > res.Top[i-1].Size {
-			t.Errorf("%s: census not sorted by size at %d", name, i)
+	slices.SortFunc(want, func(a, b Component) int {
+		if a.Size != b.Size {
+			return cmp.Compare(b.Size, a.Size)
 		}
+		return cmp.Compare(a.Label, b.Label)
+	})
+	want = want[:min(len(want), topK)]
+	if !slices.Equal(res.Top, want) {
+		t.Errorf("%s: top-%d census %v, want %v", name, topK, res.Top, want)
 	}
 }
 
@@ -579,7 +591,98 @@ func TestUnionFind64(t *testing.T) {
 	if r := u.Find(42); r != 42 {
 		t.Fatalf("untouched label root = %d, want itself", r)
 	}
-	if u.Len() == 0 {
-		t.Fatalf("merge state empty after links")
+	if u.Len() != 2 {
+		t.Fatalf("merge state holds %d entries after 2 links", u.Len())
+	}
+}
+
+// tallNoise stacks k independent n x n binary noise images into one
+// n-column, k*n-row buffer.
+func tallNoise(n, k int, density float64) []uint32 {
+	pix := make([]uint32, 0, k*n*n)
+	for s := 0; s < k; s++ {
+		pix = append(pix, image.RandomBinary(n, density, uint64(s+1)).Pix...)
+	}
+	return pix
+}
+
+// TestCensusHoldsOnlySeamFragments pins what the census keeps between
+// bands, read back from the final checkpoint record, which holds the
+// pipeline's merge state as it stands: the fragment-map keys are exactly
+// the lifted labels of the band fragments on a band's first row (below
+// another band) or last row (above another band), found by labeling each
+// band on its own; the map holds under half as many entries as there are
+// band components (on this noise about a seventh under Conn4 and a third
+// under Conn8, where components are larger); the forest holds exactly
+// one entry per link; and the retired components plus the seam roots are
+// the components.
+func TestCensusHoldsOnlySeamFragments(t *testing.T) {
+	const cols, rows, bandRows = 256, 4096, 32
+	pix := tallNoise(cols, rows/cols, 0.43)
+	pgm := encodePGM(pix, rows, cols, 255)
+	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+		seam := map[uint64]bool{}
+		for r0 := 0; r0 < rows; r0 += bandRows {
+			band := pix[r0*cols : (r0+bandRows)*cols]
+			lab, _ := residentLabels(band, bandRows, cols, conn, seq.Binary)
+			base := uint64(r0) * uint64(cols)
+			var seamRows []int
+			if r0 > 0 {
+				seamRows = append(seamRows, 0)
+			}
+			if r0+bandRows < rows {
+				seamRows = append(seamRows, bandRows-1)
+			}
+			for _, i := range seamRows {
+				for _, l := range lab[i*cols : (i+1)*cols] {
+					if l != 0 {
+						seam[base+uint64(l)] = true
+					}
+				}
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			name := fmt.Sprintf("%v/procs%d", conn, procs)
+			var res *Result
+			var c *checkpoint
+			atProcs(procs, func() {
+				ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+				var err error
+				res, err = Label(bytes.NewReader(pgm), nil,
+					Options{Conn: conn, BandRows: bandRows, Checkpoint: ckpt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err = loadCheckpoint(ckpt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for l := range c.sizes {
+				if !seam[l] {
+					t.Fatalf("%s: fragment %d is on no band's first or last row", name, l)
+				}
+			}
+			if len(c.sizes) != len(seam) {
+				t.Errorf("%s: %d fragments kept, want the %d seam fragments", name, len(c.sizes), len(seam))
+			}
+			t.Logf("%s: %d seam fragments, %d band components, %d links, %d components",
+				name, len(c.sizes), c.stripComps, c.links, res.Components)
+			if int64(len(c.sizes))*2 > c.stripComps {
+				t.Errorf("%s: %d seam fragments of %d band components, want under half",
+					name, len(c.sizes), c.stripComps)
+			}
+			if int64(len(c.parent)) != c.links || c.links != res.Links {
+				t.Errorf("%s: forest holds %d entries, want one per link (%d)", name, len(c.parent), res.Links)
+			}
+			roots := c.retired
+			for l := range c.sizes {
+				if _, linked := c.parent[l]; !linked {
+					roots++
+				}
+			}
+			if roots != res.Components {
+				t.Errorf("%s: %d retired + seam roots, want %d components", name, roots, res.Components)
+			}
+		}
 	}
 }

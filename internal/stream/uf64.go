@@ -6,7 +6,8 @@
 // 64-bit union-find. Labels live in a 64-bit global
 // space — the pixel's global row-major index plus one — so the total pixel
 // count may exceed 2^32 and the resident MaxSide ceiling does not apply;
-// memory stays O(band) plus the sparse merge state.
+// memory stays O(band) plus the sparse merge state, which holds only the
+// band fragments on seam rows: O(bands × width), not O(components).
 package stream
 
 import (
@@ -18,7 +19,7 @@ import (
 
 // UnionFind64 is a sparse union-find over the 64-bit global label space:
 // parents live in a map, and a label with no entry is its own root, so
-// only labels that actually reach a band boundary cost memory — the
+// only labels that were linked across a band boundary cost memory, where
 // a flat parent array would need one word per pixel, which is exactly
 // what an out-of-core run cannot afford. Linking is unite-by-minimum with
 // path halving, the same discipline as the labeler's run union-find, so
@@ -74,7 +75,8 @@ func (u *UnionFind64) IsRoot(x uint64) bool {
 }
 
 // Len returns the number of non-root labels — the memory the merge state
-// actually holds, bounded by the number of cross-band links.
+// actually holds. It equals the number of links: each link adds one entry
+// for the root it links, and path halving only rewrites entries.
 func (u *UnionFind64) Len() int { return len(u.parent) }
 
 // MergeAdjacent resolves the boundary between two vertically adjacent

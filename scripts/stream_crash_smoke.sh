@@ -15,7 +15,11 @@
 #   4. resume run: -resume from the surviving checkpoint, assert it
 #      reports the resumed band, and byte-compare its census JSON and
 #      label PGM against the reference — crash recovery must be exact,
-#      not approximate.
+#      not approximate,
+#   5. refused resume: -resume the same record with -top 5 instead of
+#      -top 3 (the record keeps only the 3 largest finished components,
+#      so it cannot answer a top 5) and assert a non-zero exit, a
+#      checkpoint-mismatch message, and no file at that run's -out.
 #
 # Needs: go. Exits non-zero on the first failure.
 set -euo pipefail
@@ -89,5 +93,22 @@ cmp "$WORKDIR/ref.pgm" "$WORKDIR/resumed.pgm" || {
     echo "crash-smoke: resumed label PGM differs from the reference" >&2
     exit 1
 }
+
+echo "crash-smoke: resuming the same record with -top 5 must be refused"
+if "$WORKDIR/imgcc" -stream -in "$WORKDIR/tall.pgm" -band-rows 4096 -top 5 \
+    -checkpoint "$CKPT" -resume -out "$WORKDIR/top5.pgm" \
+    >"$WORKDIR/top5.out" 2>&1; then
+    echo "crash-smoke: resume with a different -top succeeded" >&2
+    exit 1
+fi
+grep -q 'checkpoint mismatch' "$WORKDIR/top5.out" || {
+    echo "crash-smoke: refused resume did not report a checkpoint mismatch:" >&2
+    cat "$WORKDIR/top5.out" >&2
+    exit 1
+}
+if [ -e "$WORKDIR/top5.pgm" ]; then
+    echo "crash-smoke: refused resume left a file at its -out path" >&2
+    exit 1
+fi
 
 echo "crash-smoke: PASS"
